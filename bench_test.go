@@ -763,14 +763,14 @@ func TestWriteSessionBench(t *testing.T) {
 	g128 := Path(128)
 	var res QuantumResult
 	runAllocs := testing.AllocsPerRun(1, func() {
-		r, err := QuantumExactDiameter(g128, QuantumOptions{Seed: 1, Engine: []EngineOption{WithWorkers(1)}})
+		r, err := QuantumExactDiameter(g128, QuantumOptions{Seed: 1, Parallel: 1, Engine: []EngineOption{WithWorkers(1)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res = r
 	})
 	start := time.Now()
-	if _, err := QuantumExactDiameter(g128, QuantumOptions{Seed: 1, Engine: []EngineOption{WithWorkers(1)}}); err != nil {
+	if _, err := QuantumExactDiameter(g128, QuantumOptions{Seed: 1, Parallel: 1, Engine: []EngineOption{WithWorkers(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	out.FullRun.FreshBaseline = sessionBaseline
@@ -853,7 +853,7 @@ func BenchmarkEccSuite(b *testing.B) {
 	g := Path(64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Eccentricities(g, QuantumOptions{Seed: 1, Engine: []EngineOption{WithWorkers(1)}})
+		res, err := Eccentricities(g, QuantumOptions{Seed: 1, Parallel: 1, Engine: []EngineOption{WithWorkers(1)}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -963,14 +963,14 @@ func TestWriteSuiteBench(t *testing.T) {
 	g256 := Path(256)
 	var res EccentricitiesResult
 	seqAllocs := testing.AllocsPerRun(1, func() {
-		r, err := Eccentricities(g256, QuantumOptions{Seed: 1, Engine: []EngineOption{WithWorkers(1)}})
+		r, err := Eccentricities(g256, QuantumOptions{Seed: 1, Parallel: 1, Engine: []EngineOption{WithWorkers(1)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res = r
 	})
 	start := time.Now()
-	if _, err := Eccentricities(g256, QuantumOptions{Seed: 1, Engine: []EngineOption{WithWorkers(1)}}); err != nil {
+	if _, err := Eccentricities(g256, QuantumOptions{Seed: 1, Parallel: 1, Engine: []EngineOption{WithWorkers(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	seqWall := time.Since(start).Seconds()

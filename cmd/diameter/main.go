@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		workers    = fs.Int("workers", 0, "engine workers per round (0 = auto, 1 = serial; output is identical for any value)")
 		sched      = fs.String("sched", "frontier", "round scheduler: frontier|dense (output is identical for either)")
-		parallel   = fs.Int("parallel", 1, "evaluation sessions run concurrently by the quantum algorithms (output is identical for any value)")
+		parallel   = fs.Int("parallel", 0, "evaluation sessions run concurrently by the quantum algorithms (0 = one per CPU, each on a serial engine; 1 = sequential; -param apsp treats 0 as 1; output is identical for any value)")
 		lanes      = fs.Int("lanes", 0, "Evaluations fused per lane-engine pass (0/1 = solo sessions; output is identical for any value)")
 		sublinear  = fs.Bool("sublinear", false, "route the weighted parameters through the skeleton distance oracle (sublinear per-Evaluation rounds; -param apsp always does)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -79,7 +79,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}()
 	}
-	engine := []qcongest.EngineOption{qcongest.WithWorkers(*workers)}
+	// -workers <= 0 leaves the worker count to the library, so the automatic
+	// Parallel rule may pin its evaluation sessions to one worker each.
+	var engine []qcongest.EngineOption
+	if *workers > 0 {
+		engine = append(engine, qcongest.WithWorkers(*workers))
+	}
 	switch *sched {
 	case "frontier":
 		engine = append(engine, qcongest.WithScheduler(qcongest.SchedulerFrontier))

@@ -86,3 +86,32 @@ func TestCLILanesWarning(t *testing.T) {
 		t.Fatal("negative -lanes accepted")
 	}
 }
+
+// TestCLIParallelDeterministic asserts the automatic evaluation
+// parallelism (-parallel 0, the default) prints byte-identical output to
+// sequential evaluation and to explicit pools, for every query-backed
+// parameter.
+func TestCLIParallelDeterministic(t *testing.T) {
+	for _, base := range [][]string{
+		{"-graph", "random", "-n", "40", "-algo", "quantum-exact", "-seed", "3"},
+		{"-graph", "random", "-n", "40", "-algo", "quantum-approx", "-seed", "3"},
+		{"-graph", "random", "-n", "30", "-param", "radius", "-weighted", "-maxw", "6"},
+		{"-graph", "random", "-n", "30", "-param", "ecc"},
+		{"-graph", "random", "-n", "24", "-param", "triangle"},
+	} {
+		var outputs []string
+		for _, par := range []string{"0", "1", "3"} {
+			args := append(append([]string(nil), base...), "-parallel", par)
+			var stdout, stderr strings.Builder
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("run(%v): %v\nstderr: %s", args, err, stderr.String())
+			}
+			outputs = append(outputs, stdout.String())
+		}
+		for i := 1; i < len(outputs); i++ {
+			if outputs[i] != outputs[0] {
+				t.Errorf("%v: output differs between -parallel settings:\n%s\nvs\n%s", base, outputs[i], outputs[0])
+			}
+		}
+	}
+}

@@ -98,9 +98,16 @@ type ConvergecastMaxNode struct {
 // NewConvergecastMaxNode builds the program for one node. witness
 // identifies where the value came from (often the node itself).
 func NewConvergecastMaxNode(parent int, children []int, value, witness int) *ConvergecastMaxNode {
-	return &ConvergecastMaxNode{
+	c := convergecastMaxNode(parent, append([]int(nil), children...), value, witness)
+	return &c
+}
+
+// convergecastMaxNode is the constructed program; children is kept as
+// given (like tokenWalkNode).
+func convergecastMaxNode(parent int, children []int, value, witness int) ConvergecastMaxNode {
+	return ConvergecastMaxNode{
 		Parent:     parent,
-		Children:   append([]int(nil), children...),
+		Children:   children,
 		Value:      value,
 		Witness:    witness,
 		Max:        value,

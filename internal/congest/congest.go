@@ -599,10 +599,14 @@ func WithBandwidth(bw int) Option {
 
 // WithWorkers sets the number of engine workers used by Run. k = 1 executes
 // every half-round serially; k > 1 shards the vertices over k goroutines.
-// k <= 0 (the default) selects runtime.NumCPU(), capped so that every
-// worker owns at least minVerticesPerWorker vertices — tiny networks always
-// run serially. Any worker count produces bit-for-bit identical outputs,
-// round counts and Metrics; the knob only trades wall-clock time.
+// k <= 0 (the default) selects runtime.GOMAXPROCS(0), capped so that every
+// worker owns a non-empty frontier shard (shards are aligned to 4096
+// vertices): networks of up to 4096 vertices always run serially, which
+// leaves the spare cores to concurrent evaluation contexts (core's
+// Options.Parallel). An explicit k > 1 is honoured as given (clamped to n),
+// even when some of its shards are empty. Any worker count produces
+// bit-for-bit identical outputs, round counts and Metrics; the knob only
+// trades wall-clock time.
 func WithWorkers(k int) Option {
 	return func(nw *Network) { nw.workers = k }
 }
@@ -688,10 +692,14 @@ func (nw *Network) EffectiveScheduler() Scheduler {
 	return SchedulerDense
 }
 
-// minVerticesPerWorker is the smallest shard the automatic worker rule will
-// create: below that, the per-round barrier costs more than the shard's
-// compute, so small networks run serially.
+// minVerticesPerWorker is the smallest half-round the engines dispatch to
+// their workers: below that, the barrier costs more than the work, so tiny
+// frontiers run inline on the coordinator (see runPhaseF).
 const minVerticesPerWorker = 64
+
+// shardVertices is the vertex span of one frontier shard unit: a shard
+// boundary is aligned to shardWordAlign bitset words (see scheduler.go).
+const shardVertices = shardWordAlign * 64
 
 // EffectiveWorkers reports the worker count Run will use: the configured
 // value clamped to [1, n], or the automatic rule when none was configured.
@@ -699,10 +707,7 @@ func (nw *Network) EffectiveWorkers() int {
 	n := nw.topo.n
 	k := nw.workers
 	if k <= 0 {
-		k = runtime.NumCPU()
-		if cap := n / minVerticesPerWorker; k > cap {
-			k = cap
-		}
+		k = autoWorkers(n, runtime.GOMAXPROCS(0))
 	}
 	if k > n {
 		k = n
@@ -711,6 +716,26 @@ func (nw *Network) EffectiveWorkers() int {
 		k = 1
 	}
 	return k
+}
+
+// autoWorkers is the automatic worker rule: one worker per usable CPU, but
+// never a worker whose frontier shard would be empty. Shards are whole
+// multiples of shardVertices, so a network of n <= 4096 vertices runs
+// serially — a second worker would own no vertex and only add a barrier
+// to every frontier half-round. When procs caps the count below one worker
+// per shard unit, the shard size rounds up and the count is recomputed from
+// it, so the last worker still owns vertices.
+func autoWorkers(n, procs int) int {
+	k := (n + shardVertices - 1) / shardVertices
+	if k > procs {
+		k = procs
+	}
+	if k <= 1 {
+		return 1
+	}
+	nwords := (n + 63) >> 6
+	wps := wordsPerShard(nwords, k)
+	return (nwords + wps - 1) / wps
 }
 
 // phase identifiers for the worker loop (the F variants are the frontier

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"qcongest/internal/graph"
@@ -235,5 +236,58 @@ func TestEffectiveWorkersClamps(t *testing.T) {
 	}
 	if got := nw.EffectiveWorkers(); got != 1 {
 		t.Errorf("EffectiveWorkers = %d, want 1 under the automatic rule on a tiny graph", got)
+	}
+
+	// The automatic rule reads GOMAXPROCS and never starts a worker without
+	// a frontier shard (shards are aligned to 4096 vertices).
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	auto := func(n int) int {
+		topo, err := NewTopology(graph.Path(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewNetworkOn(topo, func(int) Node { return nil }).EffectiveWorkers()
+	}
+	runtime.GOMAXPROCS(max(prev, 2))
+	if got := auto(1024); got != 1 {
+		t.Errorf("n=1024: EffectiveWorkers = %d, want 1 (one shard)", got)
+	}
+	if got := auto(3 * 4096); got < 2 {
+		t.Errorf("n=3*4096 with GOMAXPROCS %d: EffectiveWorkers = %d, want >= 2", runtime.GOMAXPROCS(0), got)
+	}
+	runtime.GOMAXPROCS(1)
+	if got := auto(3 * 4096); got != 1 {
+		t.Errorf("n=3*4096 with GOMAXPROCS 1: EffectiveWorkers = %d, want 1", got)
+	}
+	// An explicit count is honoured even where the rule would not start it.
+	topo, err := NewTopology(graph.Path(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewNetworkOn(topo, func(int) Node { return nil }, WithWorkers(2)).EffectiveWorkers(); got != 2 {
+		t.Errorf("n=1024 WithWorkers(2): EffectiveWorkers = %d, want 2", got)
+	}
+}
+
+// TestAutoWorkersOwnShards sweeps the automatic rule over sizes and CPU
+// counts: it never exceeds the CPUs, and every worker it starts owns a
+// non-empty frontier shard.
+func TestAutoWorkersOwnShards(t *testing.T) {
+	for _, n := range []int{1, 64, 4096, 4097, 8192, 3*4096 + 1, 5 * 4096, 7*4096 - 5, 40 * 4096} {
+		for procs := 1; procs <= 9; procs++ {
+			k := autoWorkers(n, procs)
+			if k < 1 || k > procs {
+				t.Errorf("n=%d procs=%d: autoWorkers = %d, want in [1, %d]", n, procs, k, procs)
+				continue
+			}
+			fr := newFrontierState(n, k, nil, nil)
+			if lo, hi := fr.shardWords(k - 1); lo >= hi {
+				t.Errorf("n=%d procs=%d: worker %d of %d owns no shard", n, procs, k-1, k)
+			}
+			if units := (n + 4095) / 4096; k > units || (k < 2 && min(procs, units) >= 2) {
+				t.Errorf("n=%d procs=%d: autoWorkers = %d, want in [2, %d]", n, procs, k, units)
+			}
+		}
 	}
 }

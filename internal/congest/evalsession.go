@@ -24,9 +24,14 @@ type WalkSession struct {
 // described by info with the given per-node child lists. The start vertex
 // is an Eval argument, not fixed here.
 func NewWalkSession(topo *Topology, info *PreInfo, children [][]int, steps int, opts ...Option) *WalkSession {
+	n := topo.N()
 	ws := &WalkSession{
-		s: NewSession(topo, func(v int) Node {
-			return NewTokenWalkNode(info.Parent[v], children[v], info.Leader, -1, steps)
+		s: newSlabSession(topo, func() func(v int) Node {
+			progs, kids := make([]TokenWalkNode, n), copyRows(children)
+			return func(v int) Node {
+				progs[v] = tokenWalkNode(info.Parent[v], kids[v], info.Leader, -1, steps)
+				return &progs[v]
+			}
 		}, opts...),
 		steps: steps,
 		tau:   make([]int, topo.N()),
@@ -90,12 +95,21 @@ type EccSession struct {
 // info. waveDuration is the fixed length of the wave process (callers
 // derive it from d, as for EccentricitiesOf).
 func NewEccSession(topo *Topology, info *PreInfo, waveDuration int, opts ...Option) *EccSession {
+	n := topo.N()
 	return &EccSession{
-		wave: NewSession(topo, func(v int) Node {
-			return NewWaveNode(false, -1, waveDuration)
+		wave: newSlabSession(topo, func() func(v int) Node {
+			progs := make([]WaveNode, n)
+			return func(v int) Node {
+				progs[v] = *NewWaveNode(false, -1, waveDuration)
+				return &progs[v]
+			}
 		}, opts...),
-		cc: NewSession(topo, func(v int) Node {
-			return NewConvergecastMaxNode(info.Parent[v], info.Children[v], 0, v)
+		cc: newSlabSession(topo, func() func(v int) Node {
+			progs, kids := make([]ConvergecastMaxNode, n), copyRows(info.Children)
+			return func(v int) Node {
+				progs[v] = convergecastMaxNode(info.Parent[v], kids[v], 0, v)
+				return &progs[v]
+			}
 		}, opts...),
 		leader:   info.Leader,
 		duration: waveDuration,
@@ -155,4 +169,25 @@ func (es *EccSession) Clone() (*EccSession, error) {
 func (es *EccSession) Close() {
 	es.wave.Close()
 	es.cc.Close()
+}
+
+// copyRows copies a per-vertex list table into one flat arena: row v of
+// the result is a capacity-capped view (nil when empty, like a per-row
+// append copy), so a session's programs own their lists in two
+// allocations instead of one per vertex.
+func copyRows(rows [][]int) [][]int {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	arena := make([]int, 0, total)
+	out := make([][]int, len(rows))
+	for v, r := range rows {
+		if len(r) > 0 {
+			lo := len(arena)
+			arena = append(arena, r...)
+			out[v] = arena[lo:len(arena):len(arena)]
+		}
+	}
+	return out
 }

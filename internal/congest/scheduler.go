@@ -180,6 +180,13 @@ const noBucket = int32(-1)
 // summary words and workers never write a shared bitset word.
 const shardWordAlign = 64
 
+// wordsPerShard is the words-per-shard of a k-way split of nwords bitset
+// words: an even split rounded up to shardWordAlign.
+func wordsPerShard(nwords, k int) int {
+	wps := (nwords + k - 1) / k
+	return (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
+}
+
 // frontierState is the engine's per-run frontier bookkeeping. Everything
 // is allocated once (newFrontierState) and recycled across rounds and —
 // via reset — across the executions of a persistent Session engine, so
@@ -219,12 +226,9 @@ type frontierState struct {
 }
 
 func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
-	nwords := (n + 63) >> 6
-	wps := (nwords + k - 1) / k
-	wps = (wps + shardWordAlign - 1) &^ (shardWordAlign - 1)
 	fr := &frontierState{
 		k:         k,
-		wps:       wps,
+		wps:       wordsPerShard((n+63)>>6, k),
 		alwaysOn:  alwaysOn,
 		cur:       newShardedBitset(n),
 		nxt:       newShardedBitset(n),

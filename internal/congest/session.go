@@ -277,9 +277,9 @@ func badResetParams(prog string, params any) {
 // independent executions in parallel. Close releases the engine's worker
 // goroutines; a session that was never Run has nothing to release.
 type Session struct {
-	nw       *Network
-	makeNode func(v int) Node
-	opts     []Option
+	nw    *Network
+	build func() func(v int) Node // one instance's program constructor (see newSlabSession)
+	opts  []Option
 
 	e      *engine
 	rs     []Resettable // the node programs, pre-asserted (filled when vetted)
@@ -292,10 +292,19 @@ type Session struct {
 // node programs are constructed once, here; every later execution reuses
 // them via Reset.
 func NewSession(topo *Topology, make func(v int) Node, opts ...Option) *Session {
+	return newSlabSession(topo, func() func(v int) Node { return make }, opts...)
+}
+
+// newSlabSession builds a session whose programs come from build(): every
+// call of build returns a fresh per-vertex constructor, typically one that
+// places the programs in slabs it has just allocated (one allocation for n
+// programs instead of n). Clone calls build again, so clones never share
+// program storage.
+func newSlabSession(topo *Topology, build func() func(v int) Node, opts ...Option) *Session {
 	return &Session{
-		nw:       NewNetworkOn(topo, make, opts...),
-		makeNode: make,
-		opts:     opts,
+		nw:    NewNetworkOn(topo, build(), opts...),
+		build: build,
+		opts:  opts,
 	}
 }
 
@@ -355,6 +364,10 @@ func (s *Session) Node(v int) Node { return s.nw.nodes[v] }
 // Metrics returns the metrics of the execution since the last Reset.
 func (s *Session) Metrics() Metrics { return s.nw.metrics }
 
+// EffectiveWorkers reports the engine worker count the session runs with
+// (see Network.EffectiveWorkers).
+func (s *Session) EffectiveWorkers() int { return s.nw.EffectiveWorkers() }
+
 // Topology returns the shared topology the session executes on.
 func (s *Session) Topology() *Topology { return s.nw.topo }
 
@@ -371,7 +384,7 @@ func (s *Session) Clone() (*Session, error) {
 	if s.nw.observer != nil {
 		return nil, fmt.Errorf("congest: Clone of a session with an observer (traces would interleave; observe a solo Session or use MultiSession.SetLaneObserver)")
 	}
-	return NewSession(s.nw.topo, s.makeNode, s.opts...), nil
+	return newSlabSession(s.nw.topo, s.build, s.opts...), nil
 }
 
 // Close stops the engine's worker goroutines. The session cannot run again

@@ -408,3 +408,113 @@ func TestTopologySharedAcrossNetworks(t *testing.T) {
 		}
 	}
 }
+
+// Building the Figure 2 sessions must cost O(1) allocations, not one
+// program plus one child-list copy per vertex: the automatic Parallel rule
+// builds one pair per concurrent context, and a per-vertex construction
+// cost would make every extra context an allocation storm.
+func TestEvalSessionConstructionAllocs(t *testing.T) {
+	g := graph.RandomConnected(1024, 0.01, 1)
+	topo, err := NewTopology(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _, err := PreprocessOn(topo, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		NewWalkSession(topo, info, info.Children, 2*info.D)
+		NewEccSession(topo, info, 6*info.D+2)
+	})
+	if allocs > 64 {
+		t.Errorf("NewWalkSession+NewEccSession at n=1024: %.0f allocs, want <= 64", allocs)
+	}
+}
+
+// Slab-built sessions must still clone into independent programs: no
+// program or child list is shared with the original, and two clones
+// running different inputs concurrently (under -race) each reproduce the
+// original's serial outputs.
+func TestSlabSessionClonesIndependent(t *testing.T) {
+	g := graph.RandomConnected(200, 0.03, 11)
+	topo, err := NewTopology(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _, err := PreprocessOn(topo, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := NewWalkSession(topo, info, info.Children, 2*info.D, WithWorkers(1))
+	defer walk.Close()
+	ecc := NewEccSession(topo, info, 6*info.D+2, WithWorkers(1))
+	defer ecc.Close()
+	eval := func(w *WalkSession, e *EccSession, u0 int) (string, int) {
+		tau, _, err := w.Eval(u0)
+		if err != nil {
+			t.Error(err)
+			return "", 0
+		}
+		taus := fmt.Sprint(tau)
+		value, _, err := e.Eval(tau)
+		if err != nil {
+			t.Error(err)
+		}
+		return taus, value
+	}
+	starts := []int{info.Leader, (info.Leader + 97) % g.N()}
+	var wantTau [2]string
+	var wantVal [2]int
+	for i, u0 := range starts {
+		wantTau[i], wantVal[i] = eval(walk, ecc, u0)
+	}
+
+	var walks [2]*WalkSession
+	var eccs [2]*EccSession
+	for i := range walks {
+		if walks[i], err = walk.Clone(); err != nil {
+			t.Fatal(err)
+		}
+		defer walks[i].Close()
+		if eccs[i], err = ecc.Clone(); err != nil {
+			t.Fatal(err)
+		}
+		defer eccs[i].Close()
+	}
+	for v := 0; v < g.N(); v++ {
+		a, b := walks[0].s.Node(v).(*TokenWalkNode), walks[1].s.Node(v).(*TokenWalkNode)
+		if a == b || a == walk.s.Node(v) {
+			t.Fatalf("vertex %d: walk clones share a program", v)
+		}
+		if len(a.Children) > 0 && &a.Children[0] == &b.Children[0] {
+			t.Fatalf("vertex %d: walk clones share a child list", v)
+		}
+		ca, cb := eccs[0].cc.Node(v).(*ConvergecastMaxNode), eccs[1].cc.Node(v).(*ConvergecastMaxNode)
+		if len(ca.Children) > 0 && &ca.Children[0] == &cb.Children[0] {
+			t.Fatalf("vertex %d: convergecast clones share a child list", v)
+		}
+		if eccs[0].wave.Node(v) == eccs[1].wave.Node(v) {
+			t.Fatalf("vertex %d: wave clones share a program", v)
+		}
+	}
+
+	var gotTau [2]string
+	var gotVal [2]int
+	done := make(chan struct{})
+	for i := range walks {
+		go func(i int) {
+			defer func() { done <- struct{}{} }()
+			for rep := 0; rep < 3; rep++ {
+				gotTau[i], gotVal[i] = eval(walks[i], eccs[i], starts[i])
+			}
+		}(i)
+	}
+	<-done
+	<-done
+	for i := range starts {
+		if gotTau[i] != wantTau[i] || gotVal[i] != wantVal[i] {
+			t.Errorf("clone %d (start %d): tau/value differ from the serial session", i, starts[i])
+		}
+	}
+}

@@ -67,9 +67,16 @@ type TokenWalkNode struct {
 
 // NewTokenWalkNode builds the walk program for one node.
 func NewTokenWalkNode(parent int, children []int, root, start, steps int) *TokenWalkNode {
-	return &TokenWalkNode{
+	t := tokenWalkNode(parent, append([]int(nil), children...), root, start, steps)
+	return &t
+}
+
+// tokenWalkNode is the constructed program; children is kept as given
+// (NewTokenWalkNode passes a private copy, a slab session a private view).
+func tokenWalkNode(parent int, children []int, root, start, steps int) TokenWalkNode {
+	return TokenWalkNode{
 		Parent:   parent,
-		Children: append([]int(nil), children...),
+		Children: children,
 		Root:     root,
 		Start:    start,
 		Steps:    steps,

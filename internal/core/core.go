@@ -18,15 +18,16 @@
 // its walk/wave sessions once (congest.WalkSession, congest.EccSession) and
 // every Evaluation is a Reset+Run on them — bit-identical to fresh
 // networks, without rebuilding topology tables, programs or arenas per
-// execution. Options.Parallel > 1 clones the sessions into a congest.Pool
-// and runs independent Evaluations concurrently; results are identical for
-// any value.
+// execution. Options.Parallel clones the sessions into a congest.Pool and
+// runs independent Evaluations concurrently — by default one context per
+// usable CPU; results are identical for any value.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"qcongest/internal/congest"
 	"qcongest/internal/graph"
@@ -65,10 +66,16 @@ type Options struct {
 	// n^{2/3} / d^{1/3} per Theorem 4).
 	S int
 	// Parallel is the number of cloned evaluation contexts used to run
-	// independent Evaluations concurrently (<= 1: one context, sequential).
-	// Evaluations are deterministic and their values input-independent, so
-	// the computed Result is identical for every value; the knob only
-	// trades wall-clock time, like congest.WithWorkers.
+	// independent Evaluations concurrently. 0 (the default) selects
+	// min(runtime.GOMAXPROCS(0), |domain|); 1 evaluates sequentially on one
+	// context. Whenever more than one context runs, every evaluation
+	// session is built with congest.WithWorkers(1) ahead of Engine, so an
+	// explicit WithWorkers in Engine still wins: the Evaluations of one
+	// query scale across cores, while engine shards only add barriers.
+	// APSP treats 0 as 1 (see APSP). Evaluations are deterministic and
+	// their values input-independent, so the computed Result is identical
+	// for every value; the knob only trades wall-clock time and memory,
+	// like congest.WithWorkers.
 	Parallel int
 	// Lanes is the number of Evaluations fused into one engine pass
 	// (congest.MultiSession) when the Evaluation family supports it; <= 1
@@ -100,17 +107,16 @@ func (o Options) delta() float64 {
 	return o.Delta
 }
 
-// validate rejects option values that cannot mean anything: like the engine
-// worker count (where <= 0 selects a sane default), Lanes 0 and 1 both mean
-// solo sessions, but a negative lane count is a caller bug that previously
-// flowed unchecked into MultiSession construction. Every public entry point
-// calls this before building any topology or session.
+// validate rejects option values that cannot mean anything: Lanes 0 and 1
+// both mean solo sessions, but a negative lane count is a caller bug that
+// previously flowed unchecked into MultiSession construction. Every public
+// entry point calls this before building any topology or session.
 func (o Options) validate() error {
 	if o.Lanes < 0 {
 		return fmt.Errorf("core: Options.Lanes %d is negative (0 or 1 selects solo sessions)", o.Lanes)
 	}
 	if o.Parallel < 0 {
-		return fmt.Errorf("core: Options.Parallel %d is negative (0 or 1 selects sequential evaluation)", o.Parallel)
+		return fmt.Errorf("core: Options.Parallel %d is negative (0 selects one context per CPU, 1 sequential evaluation)", o.Parallel)
 	}
 	return nil
 }
@@ -163,10 +169,11 @@ func (c *batchEvalContext) Close()                                   { c.close()
 
 // evalFamily is one Evaluation family: the solo context factory every
 // query needs, plus the optional lane-fused factory (nil when the family
-// cannot fuse, e.g. the weighted Bellman–Ford evaluation).
+// cannot fuse, e.g. the weighted Bellman–Ford evaluation). Both build their
+// sessions with the given engine options (see Options.evalOracle).
 type evalFamily struct {
-	newCtx      func() *evalContext
-	newBatchCtx func(lanes int) query.BatchContext
+	newCtx      func(engine []congest.Option) *evalContext
+	newBatchCtx func(lanes int, engine []congest.Option) query.BatchContext
 }
 
 // ctxOracle adapts an evalFamily plus the measured framework costs into a
@@ -177,12 +184,13 @@ type ctxOracle struct {
 	initRounds  int
 	setupRounds int
 	family      evalFamily
+	engine      []congest.Option // the evaluation sessions' engine options
 }
 
 func (o ctxOracle) Domain() []int             { return o.domain }
 func (o ctxOracle) InitRounds() int           { return o.initRounds }
 func (o ctxOracle) SetupRounds() int          { return o.setupRounds }
-func (o ctxOracle) NewContext() query.Context { return o.family.newCtx() }
+func (o ctxOracle) NewContext() query.Context { return o.family.newCtx(o.engine) }
 
 // NewBatchContext implements query.BatchOracle; nil reports that this
 // family runs solo contexts only.
@@ -190,7 +198,32 @@ func (o ctxOracle) NewBatchContext(lanes int) query.BatchContext {
 	if o.family.newBatchCtx == nil {
 		return nil
 	}
-	return o.family.newBatchCtx(lanes)
+	return o.family.newBatchCtx(lanes, o.engine)
+}
+
+// evalOracle resolves how a query-backed entry point evaluates domain and
+// returns the oracle and query options it runs: Parallel 0 becomes
+// min(GOMAXPROCS, |domain|), and when more than one context runs, the
+// evaluation sessions get congest.WithWorkers(1) ahead of Engine — the
+// cores go to independent Evaluations instead of round-level shards. The
+// preparatory phases keep Engine as given.
+func (o Options) evalOracle(fam evalFamily, domain []int, initRounds, setupRounds int) (ctxOracle, query.Options) {
+	parallel := o.Parallel
+	if parallel == 0 {
+		parallel = min(runtime.GOMAXPROCS(0), len(domain))
+	}
+	engine := o.Engine
+	if parallel > 1 {
+		engine = append([]congest.Option{congest.WithWorkers(1)}, o.Engine...)
+	}
+	oracle := ctxOracle{
+		domain:      domain,
+		initRounds:  initRounds,
+		setupRounds: setupRounds,
+		family:      fam,
+		engine:      engine,
+	}
+	return oracle, query.Options{Delta: o.delta(), Seed: o.Seed, Parallel: parallel, Lanes: o.Lanes}
 }
 
 // ExactDiameterSimple runs the Section 3.1 algorithm: quantum maximum
@@ -213,15 +246,11 @@ func ExactDiameterSimple(g *graph.Graph, opts Options) (Result, error) {
 	n := g.N()
 	d := info.D
 
-	return runOptimization(singleEccContext(topo, info, opts), optimizationParams{
+	return runOptimization(singleEccContext(topo, info), opts, optimizationParams{
 		domain:      identityDomain(n),
 		eps:         1 / float64(n),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds,
 		setupRounds: d + 1,
-		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 	})
 }
 
@@ -251,21 +280,17 @@ func ExactDiameter(g *graph.Graph, opts Options) (Result, error) {
 	// bottom-up max convergecast. All three phases have input-independent
 	// round counts. The walk and wave sessions are built once per context
 	// and every eval(u0) is a Reset+Run.
-	fam := walkEccFamily(topo, info, info.Children, 2*d, 6*d+2, nil, opts)
+	fam := walkEccFamily(topo, info, info.Children, 2*d, 6*d+2, nil)
 
 	eps := float64(d) / (2 * float64(n)) // Lemma 1
 	if eps > 1 {
 		eps = 1
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, opts, optimizationParams{
 		domain:      identityDomain(n),
 		eps:         eps,
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds,
 		setupRounds: d + 1,
-		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 	})
 }
 
@@ -279,11 +304,11 @@ func ExactDiameter(g *graph.Graph, opts Options) (Result, error) {
 // failed later in the wave — acceptable, since Evaluation errors are
 // deterministic program violations that do not depend on cross-lane order.
 func walkEccFamily(topo *congest.Topology, info *congest.PreInfo, children [][]int,
-	steps, waveDuration int, check func(u0 int) error, opts Options) evalFamily {
+	steps, waveDuration int, check func(u0 int) error) evalFamily {
 	return evalFamily{
-		newCtx: func() *evalContext {
-			walk := congest.NewWalkSession(topo, info, children, steps, opts.Engine...)
-			ecc := congest.NewEccSession(topo, info, waveDuration, opts.Engine...)
+		newCtx: func(engine []congest.Option) *evalContext {
+			walk := congest.NewWalkSession(topo, info, children, steps, engine...)
+			ecc := congest.NewEccSession(topo, info, waveDuration, engine...)
 			return &evalContext{
 				eval: func(u0 int) (int, int, error) {
 					if check != nil {
@@ -304,9 +329,9 @@ func walkEccFamily(topo *congest.Topology, info *congest.PreInfo, children [][]i
 				close: func() { walk.Close(); ecc.Close() },
 			}
 		},
-		newBatchCtx: func(lanes int) query.BatchContext {
-			walk := congest.NewMultiWalkSession(topo, info, children, steps, lanes, opts.Engine...)
-			ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, opts.Engine...)
+		newBatchCtx: func(lanes int, engine []congest.Option) query.BatchContext {
+			walk := congest.NewMultiWalkSession(topo, info, children, steps, lanes, engine...)
+			ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, engine...)
 			rounds := make([]int, lanes)
 			return &batchEvalContext{
 				width: lanes,
@@ -418,33 +443,25 @@ func ApproxDiameter(g *graph.Graph, opts Options) (Result, error) {
 		}
 		return nil
 	}
-	fam := walkEccFamily(topo, wInfo, prep.RChild, window, waveDuration, inR, opts)
+	fam := walkEccFamily(topo, wInfo, prep.RChild, window, waveDuration, inR)
 
 	eps := float64(d) / (2 * float64(prep.RSize))
 	if eps > 1 {
 		eps = 1
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, opts, optimizationParams{
 		domain:      domain,
 		eps:         eps,
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  probeM.Rounds + preM.Rounds,
 		setupRounds: tStar + 1, // broadcast down the R-subtree
-		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 	})
 }
 
 type optimizationParams struct {
 	domain      []int
 	eps         float64
-	delta       float64
-	seed        int64
 	initRounds  int
 	setupRounds int
-	parallel    int
-	lanes       int
 	// minimize runs quantum minimum finding instead of maximum finding
 	// (Dürr–Høyer is symmetric: amplify over negated values). Used by the
 	// radius entry points; eps then bounds the mass of minimizers.
@@ -457,12 +474,12 @@ type optimizationParams struct {
 // are built once per context; each eval resets them with the tau assignment
 // where only u0 initiates (tau' = 0). It computes f(u0) = ecc(u0), the
 // objective of ExactDiameterSimple, Radius and Eccentricities.
-func singleEccContext(topo *congest.Topology, info *congest.PreInfo, opts Options) evalFamily {
+func singleEccContext(topo *congest.Topology, info *congest.PreInfo) evalFamily {
 	n := topo.N()
 	waveDuration := 2*info.D + 1
 	return evalFamily{
-		newCtx: func() *evalContext {
-			ecc := congest.NewEccSession(topo, info, waveDuration, opts.Engine...)
+		newCtx: func(engine []congest.Option) *evalContext {
+			ecc := congest.NewEccSession(topo, info, waveDuration, engine...)
 			tau := make([]int, n)
 			for i := range tau {
 				tau[i] = -1
@@ -483,8 +500,8 @@ func singleEccContext(topo *congest.Topology, info *congest.PreInfo, opts Option
 				close: ecc.Close,
 			}
 		},
-		newBatchCtx: func(lanes int) query.BatchContext {
-			ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, opts.Engine...)
+		newBatchCtx: func(lanes int, engine []congest.Option) query.BatchContext {
+			ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, engine...)
 			taus := make([][]int, lanes)
 			for l := range taus {
 				taus[l] = make([]int, n)
@@ -525,10 +542,10 @@ func singleEccContext(topo *congest.Topology, info *congest.PreInfo, opts Option
 // Bellman–Ford relaxation from u0 plus a weighted max convergecast,
 // computing f(u0) = weighted ecc(u0). On an unweighted graph it degenerates
 // to hop eccentricities (all weights 1).
-func weightedEccContext(topo *congest.Topology, info *congest.PreInfo, opts Options) evalFamily {
+func weightedEccContext(topo *congest.Topology, info *congest.PreInfo) evalFamily {
 	return evalFamily{
-		newCtx: func() *evalContext {
-			ecc := congest.NewWeightedEccSession(topo, info, opts.Engine...)
+		newCtx: func(engine []congest.Option) *evalContext {
+			ecc := congest.NewWeightedEccSession(topo, info, engine...)
 			return &evalContext{
 				eval: func(u0 int) (int, int, error) {
 					value, m, err := ecc.Eval(u0)
@@ -546,14 +563,8 @@ func weightedEccContext(topo *congest.Topology, info *congest.PreInfo, opts Opti
 // runOptimization runs quantum maximum (or minimum) finding over the
 // Evaluation family through the shared query layer; the golden tests pin
 // this path to the pre-refactor outputs bit for bit.
-func runOptimization(fam evalFamily, p optimizationParams) (Result, error) {
-	oracle := ctxOracle{
-		domain:      p.domain,
-		initRounds:  p.initRounds,
-		setupRounds: p.setupRounds,
-		family:      fam,
-	}
-	qopts := query.Options{Delta: p.delta, Seed: p.seed, Parallel: p.parallel, Lanes: p.lanes}
+func runOptimization(fam evalFamily, opts Options, p optimizationParams) (Result, error) {
+	oracle, qopts := opts.evalOracle(fam, p.domain, p.initRounds, p.setupRounds)
 	var qr query.Result
 	var err error
 	if p.minimize {

@@ -113,11 +113,11 @@ func TestQuantumDeterministicAcrossSchedulers(t *testing.T) {
 // engine workers.
 func TestQuantumParallelEvaluationDeterministic(t *testing.T) {
 	g := graph.RandomConnected(96, 0.06, 6)
-	want, err := ExactDiameter(g, Options{Seed: 6})
+	want, err := ExactDiameter(g, Options{Seed: 6, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 4} {
+	for _, par := range []int{0, 2, 4} {
 		got, err := ExactDiameter(g, Options{Seed: 6, Parallel: par})
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestQuantumParallelEvaluationDeterministic(t *testing.T) {
 		t.Errorf("parallel 3 + workers 2: Result %+v, want %+v", got, want)
 	}
 
-	wantSimple, err := ExactDiameterSimple(g, Options{Seed: 6})
+	wantSimple, err := ExactDiameterSimple(g, Options{Seed: 6, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestQuantumParallelEvaluationDeterministic(t *testing.T) {
 		t.Errorf("simple, parallel 3: Result %+v, want %+v", gotSimple, wantSimple)
 	}
 
-	wantApprox, err := ApproxDiameter(g, Options{Seed: 6})
+	wantApprox, err := ApproxDiameter(g, Options{Seed: 6, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func eccContextFor(g *graph.Graph, topo *congest.Topology, info *congest.PreInfo
 	if g.Weighted() {
 		return weightedFamilyFor(topo, info, opts)
 	}
-	return singleEccContext(topo, info, opts), 0, nil
+	return singleEccContext(topo, info), 0, nil
 }
 
 // weightedFamilyFor picks between the classical fixed-duration Bellman–Ford
@@ -57,13 +57,13 @@ func eccContextFor(g *graph.Graph, topo *congest.Topology, info *congest.PreInfo
 // (Options.Sublinear), returning the oracle's measured init cost.
 func weightedFamilyFor(topo *congest.Topology, info *congest.PreInfo, opts Options) (evalFamily, int, error) {
 	if !opts.Sublinear {
-		return weightedEccContext(topo, info, opts), 0, nil
+		return weightedEccContext(topo, info), 0, nil
 	}
 	oracle, err := buildSkelOracle(topo, info, opts)
 	if err != nil {
 		return evalFamily{}, 0, err
 	}
-	return skelEccFamily(oracle, opts), oracle.InitRounds, nil
+	return skelEccFamily(oracle), oracle.InitRounds, nil
 }
 
 // Radius computes the exact radius min_u ecc(u) by quantum minimum finding
@@ -90,15 +90,11 @@ func Radius(g *graph.Graph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runOptimization(singleEccContext(topo, info, opts), optimizationParams{
+	return runOptimization(singleEccContext(topo, info), opts, optimizationParams{
 		domain:      identityDomain(g.N()),
 		eps:         1 / float64(g.N()),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds,
 		setupRounds: info.D + 1,
-		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 		minimize:    true,
 	})
 }
@@ -126,15 +122,11 @@ func WeightedDiameter(g *graph.Graph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, opts, optimizationParams{
 		domain:      identityDomain(g.N()),
 		eps:         1 / float64(g.N()),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds + oracleInit,
 		setupRounds: info.D + 1,
-		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 	})
 }
 
@@ -159,15 +151,11 @@ func WeightedRadius(g *graph.Graph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runOptimization(fam, optimizationParams{
+	return runOptimization(fam, opts, optimizationParams{
 		domain:      identityDomain(g.N()),
 		eps:         1 / float64(g.N()),
-		delta:       opts.delta(),
-		seed:        opts.Seed,
 		initRounds:  pre.Rounds + oracleInit,
 		setupRounds: info.D + 1,
-		parallel:    opts.Parallel,
-		lanes:       opts.Lanes,
 		minimize:    true,
 	})
 }
@@ -189,10 +177,11 @@ type EccResult struct {
 }
 
 // Eccentricities computes ecc(v) for every vertex by running one Evaluation
-// per vertex on reused sessions — Options.Parallel > 1 batches independent
-// Evaluations onto cloned sessions via a congest.Pool, with results
-// identical to the sequential run. On weighted graphs each Evaluation is the
-// weighted one and the vector holds weighted eccentricities.
+// per vertex on reused sessions — Options.Parallel (by default one context
+// per CPU) batches independent Evaluations onto cloned sessions via a
+// congest.Pool, with results identical to the sequential run. On weighted
+// graphs each Evaluation is the weighted one and the vector holds weighted
+// eccentricities.
 func Eccentricities(g *graph.Graph, opts Options) (EccResult, error) {
 	if err := opts.validate(); err != nil {
 		return EccResult{}, err
@@ -222,17 +211,11 @@ func Eccentricities(g *graph.Graph, opts Options) (EccResult, error) {
 	if err != nil {
 		return EccResult{}, err
 	}
-	oracle := ctxOracle{
-		domain:      identityDomain(n),
-		initRounds:  pre.Rounds + oracleInit,
-		setupRounds: info.D + 1,
-		family:      fam,
-	}
 	// The straight-line use of the query layer: one Evaluation per vertex,
 	// batched over cloned sessions (Parallel) and fused into multi-lane
 	// engine passes (Lanes), with the per-vertex cost uniformity (the
 	// property the quantum queries rely on) asserted by EvalAll.
-	ecc, evalRounds, err := query.EvalAll(oracle, query.Options{Seed: opts.Seed, Parallel: opts.Parallel, Lanes: opts.Lanes})
+	ecc, evalRounds, err := query.EvalAll(opts.evalOracle(fam, identityDomain(n), pre.Rounds+oracleInit, info.D+1))
 	if err != nil {
 		return EccResult{}, err
 	}

@@ -45,34 +45,31 @@ type TriangleResult struct {
 // probe computes the per-vertex flags once (charged to InitRounds together
 // with the preprocessing), and each Evaluation extracts one flag at the
 // leader by a convergecast.
-func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, error) {
+func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, query.Options, error) {
 	topo, err := congest.NewTopology(g)
 	if err != nil {
-		return ctxOracle{}, err
+		return ctxOracle{}, query.Options{}, err
 	}
 	info, pre, err := congest.PreprocessOn(topo, opts.Engine...)
 	if err != nil {
-		return ctxOracle{}, err
+		return ctxOracle{}, query.Options{}, err
 	}
 	flags, probe, err := congest.TriangleFlagsOn(topo, opts.Engine...)
 	if err != nil {
-		return ctxOracle{}, err
+		return ctxOracle{}, query.Options{}, err
 	}
-	return ctxOracle{
-		domain:      identityDomain(g.N()),
-		initRounds:  pre.Rounds + probe.Rounds,
-		setupRounds: info.D + 1,
-		family: evalFamily{newCtx: func() *evalContext {
-			ts := congest.NewTriangleSession(topo, info, flags, opts.Engine...)
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					v, m, err := ts.Eval(u0)
-					return v, m.Rounds, err
-				},
-				close: ts.Close,
-			}
-		}},
-	}, nil
+	fam := evalFamily{newCtx: func(engine []congest.Option) *evalContext {
+		ts := congest.NewTriangleSession(topo, info, flags, engine...)
+		return &evalContext{
+			eval: func(u0 int) (int, int, error) {
+				v, m, err := ts.Eval(u0)
+				return v, m.Rounds, err
+			},
+			close: ts.Close,
+		}
+	}}
+	oracle, qopts := opts.evalOracle(fam, identityDomain(g.N()), pre.Rounds+probe.Rounds, info.D+1)
+	return oracle, qopts, nil
 }
 
 func triangleFromQuery(qr query.Result) TriangleResult {
@@ -119,12 +116,11 @@ func TriangleDetect(g *graph.Graph, opts Options) (TriangleResult, error) {
 	if r, err := trivialTriangle(g); !errors.Is(err, errTrivial) {
 		return r, err
 	}
-	oracle, err := triangleOracle(g, opts)
+	oracle, qopts, err := triangleOracle(g, opts)
 	if err != nil {
 		return TriangleResult{}, err
 	}
-	qr, err := query.Search(oracle, func(v int) bool { return v == 1 },
-		query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel})
+	qr, err := query.Search(oracle, func(v int) bool { return v == 1 }, qopts)
 	if err != nil {
 		return TriangleResult{}, err
 	}
@@ -138,12 +134,11 @@ func TriangleCount(g *graph.Graph, opts Options) (TriangleResult, error) {
 	if r, err := trivialTriangle(g); !errors.Is(err, errTrivial) {
 		return r, err
 	}
-	oracle, err := triangleOracle(g, opts)
+	oracle, qopts, err := triangleOracle(g, opts)
 	if err != nil {
 		return TriangleResult{}, err
 	}
-	qr, err := query.Count(oracle, func(v int) bool { return v == 1 },
-		query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel})
+	qr, err := query.Count(oracle, func(v int) bool { return v == 1 }, qopts)
 	if err != nil {
 		return TriangleResult{}, err
 	}
@@ -201,23 +196,18 @@ func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
 			domain = append(domain, v)
 		}
 	}
-	oracle := ctxOracle{
-		domain:      domain,
-		initRounds:  pre.Rounds,
-		setupRounds: info.D + 1,
-		family: evalFamily{newCtx: func() *evalContext {
-			cs := congest.NewCutSession(topo, info, opts.Engine...)
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					v, m, err := cs.Eval(u0)
-					return v, m.Rounds, err
-				},
-				close: cs.Close,
-			}
-		}},
-	}
-	qr, err := query.Minimum(oracle, 1/float64(len(domain)),
-		query.Options{Delta: opts.delta(), Seed: opts.Seed, Parallel: opts.Parallel})
+	fam := evalFamily{newCtx: func(engine []congest.Option) *evalContext {
+		cs := congest.NewCutSession(topo, info, engine...)
+		return &evalContext{
+			eval: func(u0 int) (int, int, error) {
+				v, m, err := cs.Eval(u0)
+				return v, m.Rounds, err
+			},
+			close: cs.Close,
+		}
+	}}
+	oracle, qopts := opts.evalOracle(fam, domain, pre.Rounds, info.D+1)
+	qr, err := query.Minimum(oracle, 1/float64(len(domain)), qopts)
 	if err != nil {
 		return CutResult{}, err
 	}

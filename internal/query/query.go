@@ -88,8 +88,11 @@ type Options struct {
 	// Seed drives all measurements.
 	Seed int64
 	// Parallel is the number of cloned evaluation contexts used to run
-	// independent Evaluations concurrently (<= 1: one context, sequential).
-	// The computed Result is identical for every value.
+	// independent Evaluations concurrently (<= 1: one context, sequential;
+	// unlike internal/core, 0 is not an automatic choice here — an Oracle's
+	// contexts need not be safe to build or run concurrently). The computed
+	// Result, and the error of a failing oracle, are identical for every
+	// value.
 	Parallel int
 	// Lanes is the number of Evaluations fused into one engine pass when
 	// the oracle supports lane batching (BatchOracle); <= 1 keeps solo
@@ -151,10 +154,11 @@ type Result struct {
 
 // evalBackend is the evaluation machinery one query runs on: a sequential
 // evaluator for the lazy path, an optional whole-domain batch (nil: the
-// query evaluates lazily), and the close hook. Two implementations exist —
-// a pool of solo Contexts, and a pool of lane-fused BatchContexts when the
-// oracle supports them and Options.Lanes asks for fusion. Results are
-// identical either way; only the engine passes are amortized.
+// query evaluates lazily, which only Search does), and the close hook. Two
+// implementations exist — a pool of solo Contexts, and a pool of
+// lane-fused BatchContexts when the oracle supports them and Options.Lanes
+// asks for fusion. Results are identical either way; only the engine
+// passes are amortized.
 type evalBackend struct {
 	evaluate qcongest.EvalProc
 	// batch precomputes the whole domain (errors wrapped "evaluate <x>"
@@ -170,11 +174,15 @@ type evalBackend struct {
 
 // contextPool builds the evaluation backend every query runs on: context 0
 // serves the sequential path, and the whole pool serves batched
-// evaluation. The batch closure is nil when the query should evaluate
-// lazily (sequential solo), mirroring qcongest's contract; lane-fused
-// backends always batch — precomputing the domain through Width()-wide
-// engine passes is the amortization Lanes asks for.
-func contextPool(o Oracle, opts Options, negate bool) *evalBackend {
+// evaluation. The batch closure is nil only for a sequential solo query
+// that may stop early (lazy: Search). Every other query evaluates the
+// whole domain anyway — FindMax and FindAll end with a fruitless
+// full-support phase — so it batches at every Parallel value, and a
+// failure names the smallest failing input (the Pool's error contract),
+// independent of the amplification's visiting order. Lane-fused backends
+// always batch — precomputing the domain through Width()-wide engine
+// passes is the amortization Lanes asks for.
+func contextPool(o Oracle, opts Options, negate, lazy bool) *evalBackend {
 	parallel := opts.parallel()
 	if lanes := opts.lanes(); lanes > 1 {
 		if bo, ok := o.(BatchOracle); ok {
@@ -197,10 +205,10 @@ func contextPool(o Oracle, opts Options, negate bool) *evalBackend {
 			return -v, r, err
 		}
 	}
-	if parallel > 1 {
+	if !lazy || parallel > 1 {
 		// Precompute every domain value on the pool. The amplification then
 		// runs entirely against the memoized table; since evaluations are
-		// deterministic, the Result is the one sequential evaluation yields.
+		// deterministic, the Result is the one lazy evaluation yields.
 		b.batch = func(domain []int) ([]int, []int, error) {
 			values := make([]int, len(domain))
 			rounds := make([]int, len(domain))
@@ -297,7 +305,7 @@ func laneBackend(bo BatchOracle, first BatchContext, parallel, lanes int, negate
 // (Dürr–Høyer via qcongest.Optimizer) over the oracle, negating values for
 // minimization (the threshold climb is symmetric).
 func optimize(o Oracle, eps float64, opts Options, minimize bool) (Result, error) {
-	be := contextPool(o, opts, minimize)
+	be := contextPool(o, opts, minimize, false)
 	defer be.close()
 
 	opt := &qcongest.Optimizer{
@@ -347,7 +355,7 @@ func Minimum(o Oracle, eps float64, opts Options) (Result, error) {
 
 // search is the shared body of Search and Count.
 func search(o Oracle, marked func(value int) bool, opts Options, count bool) (Result, error) {
-	be := contextPool(o, opts, false)
+	be := contextPool(o, opts, false, !count)
 	defer be.close()
 
 	s := &qcongest.Searcher{
@@ -407,7 +415,7 @@ func Count(o Oracle, marked func(value int) bool, opts Options) (Result, error) 
 // together with the uniform per-evaluation round count, which EvalAll
 // asserts (the property the quantum queries rely on).
 func EvalAll(o Oracle, opts Options) (values []int, evalRounds int, err error) {
-	be := contextPool(o, opts, false)
+	be := contextPool(o, opts, false, false)
 	defer be.close()
 
 	domain := o.Domain()

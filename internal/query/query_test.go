@@ -294,3 +294,63 @@ func TestQueryEvalAll(t *testing.T) {
 		}
 	}
 }
+
+// failingOracle is an in-memory Oracle over f(x) = (x*37) mod 101 in a
+// fixed 7 rounds that fails at every input in fail.
+type failingOracle struct {
+	n    int
+	fail map[int]bool
+}
+
+func (o failingOracle) Domain() []int {
+	d := make([]int, o.n)
+	for i := range d {
+		d[i] = i
+	}
+	return d
+}
+func (o failingOracle) InitRounds() int           { return 3 }
+func (o failingOracle) SetupRounds() int          { return 2 }
+func (o failingOracle) NewContext() query.Context { return failingContext{o} }
+
+type failingContext struct{ o failingOracle }
+
+func (c failingContext) Eval(x int) (int, int, error) {
+	if c.o.fail[x] {
+		return 0, 0, fmt.Errorf("program violation at input %d", x)
+	}
+	return (x * 37) % 101, 7, nil
+}
+func (c failingContext) Close() {}
+
+// TestQueryErrorSelectionDeterministic: the queries that evaluate the
+// whole domain (Maximum, Minimum, Count, EvalAll) must name the smallest
+// failing input for every Parallel value and seed — not whichever failing
+// input the amplification happened to reach first.
+func TestQueryErrorSelectionDeterministic(t *testing.T) {
+	o := failingOracle{n: 64, fail: map[int]bool{9: true, 41: true}}
+	const want = "evaluate 9: program violation at input 9"
+	eps := 1 / float64(o.n)
+	marked := func(v int) bool { return v > 90 }
+	queries := []struct {
+		name string
+		run  func(query.Options) error
+	}{
+		{"Maximum", func(opts query.Options) error { _, err := query.Maximum(o, eps, opts); return err }},
+		{"Minimum", func(opts query.Options) error { _, err := query.Minimum(o, eps, opts); return err }},
+		{"Count", func(opts query.Options) error { _, err := query.Count(o, marked, opts); return err }},
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, p := range []int{1, 2, 4} {
+			opts := query.Options{Seed: seed, Parallel: p}
+			for _, q := range queries {
+				if err := q.run(opts); err == nil || err.Error() != want {
+					t.Errorf("seed %d parallel %d: %s error = %v, want %q", seed, p, q.name, err, want)
+				}
+			}
+			if _, _, err := query.EvalAll(o, opts); err == nil || err.Error() != "program violation at input 9" {
+				t.Errorf("seed %d parallel %d: EvalAll error = %v, want input 9's", seed, p, err)
+			}
+		}
+	}
+}

@@ -36,7 +36,8 @@
 // Reset-and-rerun on recycled state, bit-identical to a fresh build.
 // The quantum algorithms amortize all per-Evaluation setup this way;
 // QuantumOptions.Parallel batches independent Evaluations onto cloned
-// sessions concurrently, and QuantumOptions.Lanes fuses independent
+// sessions concurrently (by default one per usable CPU, each on a serial
+// engine), and QuantumOptions.Lanes fuses independent
 // Evaluations into multi-lane engine passes (CongestMultiSession) that
 // share each round's scheduling and topology traversal — both
 // deterministically, like every other knob.
@@ -362,7 +363,8 @@ type ApspResult = core.ApspResult
 // emit(source, row); the row slice is reused between calls (copy to
 // retain), and a nil emit runs the sweep for its round accounting only.
 // QuantumOptions.Lanes fuses Evaluations into multi-lane engine passes and
-// QuantumOptions.Parallel shards the sweep over cloned sessions; neither
+// QuantumOptions.Parallel > 1 shards the sweep over cloned sessions (APSP
+// keeps one session by default: each holds skeleton-relay state); neither
 // changes any emitted value. Setting QuantumOptions.Sublinear routes
 // WeightedDiameter, WeightedRadius and weighted Eccentricities through the
 // same oracle.
