@@ -82,21 +82,27 @@ func init() {
 // bits; the child set costs one bit per incident edge, the standard
 // port-local bookkeeping every tree aggregation needs.
 type BFSNode struct {
-	Root int
+	Root int // the construction's root; set by the constructor or BFSRoot
 
 	// Outputs.
-	Dist     int
-	Parent   int
-	Children []int
-	Ecc      int // meaningful at the root once done
+	Dist     int   // hop distance to Root; -1 until activated
+	Parent   int   // BFS parent (the smallest-id activator); -1 at the root and until activated
+	Children []int // tree children, ascending by id once final
+	Ecc      int   // meaningful at the root once done
 
-	activated      bool
-	activationSent bool
-	childNotified  bool
-	childrenFinal  bool
-	reported       bool
-	childReports   map[int]int
+	activated      bool // Dist and Parent are fixed
+	activationSent bool // the Figure 1 activation has been broadcast
+	childNotified  bool // the parent has been told "you are my parent"
+	childrenFinal  bool // the round-(Dist+2) timer has fired: Children is complete
+	reported       bool // the subtree maximum has been sent (or, at the root, stored)
 	done           bool
+
+	// Convergecast accumulator. Every child reports exactly once, so a
+	// count and a running maximum suffice: the node is ready when
+	// reports == len(Children), and its subtree maximum is
+	// max(Dist, reportMax).
+	reports   int // child reports received
+	reportMax int // largest child report so far (0 before the first)
 
 	tx struct {
 		activate msgActivate
@@ -111,7 +117,7 @@ type BFSNode struct {
 
 // NewBFSNode returns the program for one node.
 func NewBFSNode(root int) *BFSNode {
-	return &BFSNode{Root: root, Dist: -1, Parent: -1, childReports: map[int]int{}}
+	return &BFSNode{Root: root, Dist: -1, Parent: -1}
 }
 
 // BFSRoot is the Reset params of a BFS session: the root of the next
@@ -137,7 +143,7 @@ func (b *BFSNode) ResetNode(v int, params any) {
 	b.childNotified = false
 	b.childrenFinal = false
 	b.reported = false
-	clear(b.childReports)
+	b.reports, b.reportMax = 0, 0
 	b.done = false
 }
 
@@ -174,18 +180,10 @@ func (b *BFSNode) readyToReport() bool {
 	if !b.childrenFinal || b.reported {
 		return false
 	}
-	return len(b.childReports) == len(b.Children)
+	return b.reports == len(b.Children)
 }
 
-func (b *BFSNode) subtreeMax() int {
-	m := b.Dist
-	for _, v := range b.childReports {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
+func (b *BFSNode) subtreeMax() int { return max(b.Dist, b.reportMax) }
 
 // Receive implements Node.
 func (b *BFSNode) Receive(env *Env, inbox []Inbound) {
@@ -207,7 +205,8 @@ func (b *BFSNode) Receive(env *Env, inbox []Inbound) {
 			if in.Decode(env, &b.rx.ecc) != nil {
 				continue
 			}
-			b.childReports[in.From] = b.rx.ecc.Max
+			b.reports++
+			b.reportMax = max(b.reportMax, b.rx.ecc.Max)
 		}
 	}
 	// A node activated at the end of round r receives child notifications
@@ -245,16 +244,16 @@ func (b *BFSNode) NextWake(env *Env, round int) int {
 		}
 		return round + 1
 	}
-	if !b.reported && len(b.childReports) == len(b.Children) {
+	if !b.reported && b.reports == len(b.Children) {
 		return round + 1 // report in the next Send
 	}
 	return NeverWake // waiting for child reports
 }
 
 // StateBits reports the O(log n)-bit core state (parent, distance, subtree
-// max) plus one bit per child flag.
+// max) plus one bit per child flag and one word per child report received.
 func (b *BFSNode) StateBits() int {
-	return 3*64 + len(b.Children) + len(b.childReports)*64
+	return 3*64 + len(b.Children) + b.reports*64
 }
 
 // LeaderElectNode floods the maximum node id. After global quiescence every

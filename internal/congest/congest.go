@@ -67,8 +67,9 @@
 // vertex at a time: Send(u) and Send(v) can run in parallel for u != v, and
 // likewise Receive. Programs therefore must not share mutable state across
 // vertices (all programs in this repository are pure per-vertex state
-// machines). The inbox slice passed to Receive is only valid for the
-// duration of the call and must not be retained.
+// machines). The inbox slice passed to Receive, and the Env passed to every
+// call, are only valid for the duration of the call and must not be
+// retained.
 package congest
 
 import (
@@ -93,9 +94,8 @@ type Inbound struct {
 
 // Decode unpacks the message payload into m, whose WireKind must equal the
 // inbound kind. The env must be the one the engine passed to Receive (it
-// holds the per-vertex decode scratch, which is what keeps the receive
-// path allocation-free); decode into a reusable struct for the same
-// reason.
+// holds the worker's decode scratch, which is what keeps the receive path
+// allocation-free); decode into a reusable struct for the same reason.
 func (in *Inbound) Decode(env *Env, m WireMessage) error {
 	if k := m.WireKind(); k != in.Kind {
 		return fmt.Errorf("congest: cannot decode %v message into %v", in.Kind, k)
@@ -163,7 +163,9 @@ type destChain struct {
 }
 
 // edgeCell is one directed edge's bit total for the current sender,
-// stamp-checked against the per-sender serial the same way.
+// stamp-checked against the per-sender serial the same way. The ledger is
+// indexed by port — the receiver's position in the sender's neighbor row —
+// so it needs only max-degree cells and a sender's cells are contiguous.
 type edgeCell struct {
 	stamp uint64
 	bits  int32
@@ -207,9 +209,12 @@ type Outbox struct {
 	err       error
 	errSender int
 
-	// Directed-edge bit ledger for the current sender; edgeSerial is
-	// bumped by begin, making the per-sender reset O(1) (edges are
-	// directed: no other sender contributes to (v, to) totals).
+	// Directed-edge bit ledger for the current sender, indexed by port
+	// (edge[p] is the edge to the sender's p-th neighbor) and sized to the
+	// topology's maximum degree. Rows are deduplicated, so port and
+	// receiver determine each other and a port total is exactly the (v, to)
+	// total. edgeSerial is bumped by begin, making the per-sender reset O(1)
+	// (edges are directed: no other sender contributes to (v, to) totals).
 	edge       []edgeCell
 	edgeSerial uint64
 }
@@ -219,7 +224,7 @@ func newOutbox(nw *Network, n int) *Outbox {
 		nw:        nw,
 		dest:      make([]destChain, n),
 		keepMsgs:  nw.observer != nil,
-		edge:      make([]edgeCell, n),
+		edge:      make([]edgeCell, nw.topo.maxDeg),
 		errSender: -1,
 	}
 }
@@ -313,18 +318,20 @@ func (o *Outbox) stageTo(to int, k Kind, bits, start int) {
 	if o.err != nil {
 		return
 	}
-	if !o.nw.topo.HasEdge(o.sender, to) {
+	port := o.nw.topo.port(o.sender, to)
+	if port < 0 {
 		o.fail(fmt.Errorf("congest: round %d: node %d sent to non-neighbor %d", o.round, o.sender, to))
 		return
 	}
-	o.stageKnownEdge(to, k, bits, start)
+	o.stageKnownEdge(port, to, k, bits, start)
 }
 
-// stageKnownEdge is stageTo for a destination already known to be a
-// neighbor (the Broadcast-to-neighbor-row fast path); the bandwidth ledger
-// and the delivery staging are identical.
-func (o *Outbox) stageKnownEdge(to int, k Kind, bits, start int) {
-	ec := &o.edge[to]
+// stageKnownEdge is stageTo for a destination already known to be the
+// sender's neighbor at `port` (the Broadcast-to-neighbor-row fast path,
+// where the port is the loop index); the bandwidth ledger and the delivery
+// staging are identical.
+func (o *Outbox) stageKnownEdge(port, to int, k Kind, bits, start int) {
+	ec := &o.edge[port]
 	eb := int32(bits)
 	if ec.stamp == o.edgeSerial {
 		eb += ec.bits
@@ -460,11 +467,11 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 	// different base pointer and run through the validated path — correct,
 	// just not fast.
 	if row := o.nw.topo.neighbors[o.sender]; len(row) > 0 && len(targets) <= len(row) && &targets[0] == &row[0] {
-		for _, to := range targets {
+		for port, to := range targets {
 			if o.err != nil {
 				return
 			}
-			o.stageKnownEdge(to, k, bits, start)
+			o.stageKnownEdge(port, to, k, bits, start)
 		}
 		return
 	}
@@ -476,13 +483,18 @@ func (o *Outbox) Broadcast(targets []int, m WireMessage) {
 // Env is the read-only per-node view of the network that the engine passes
 // to node programs: everything a CONGEST node is allowed to know a priori
 // (its id, n, its incident edges) plus the current round number.
+//
+// Like the inbox, the pointer is only valid for the duration of the call it
+// is passed to (Send, Receive, NextWake) and must not be retained: the
+// engine keeps one Env per worker and refills it for every vertex it
+// executes, so a retained pointer soon describes another vertex.
 type Env struct {
 	ID        int
 	N         int
 	Neighbors []int // ascending; must not be modified
 	Round     int   // current round, starting at 1
 
-	rd Reader // per-vertex decode scratch used by Inbound.Decode
+	rd Reader // the worker's decode scratch used by Inbound.Decode
 }
 
 // Node is a per-node program.
@@ -754,6 +766,11 @@ const (
 type workerState struct {
 	outbox *Outbox
 
+	// env is the Env handed to every program call this worker makes,
+	// refilled per vertex by envAt; its Reader is the worker's private
+	// decode scratch, so decoding stays race-free.
+	env Env
+
 	// Receive-half accumulators.
 	maxStateBits int
 	maxInboxSize int
@@ -770,7 +787,6 @@ type engine struct {
 	round int
 	empty bool // the current round's send half produced no messages
 
-	envs []Env
 	obs  []*Outbox     // the workers' outboxes (delivery reads their chains)
 	outs [][]stagedMsg // per-sender emissions, kept only for the observer
 	ws   []workerState
@@ -784,17 +800,12 @@ type engine struct {
 func newEngine(nw *Network) *engine {
 	n := nw.topo.n
 	e := &engine{nw: nw, n: n, k: nw.EffectiveWorkers()}
-	e.envs = make([]Env, n)
-	for v := 0; v < n; v++ {
-		// The topology's adjacency tables are sorted at construction, so
-		// the graph stays read-only once workers start.
-		e.envs[v] = Env{ID: v, N: n, Neighbors: nw.topo.neighbors[v], rd: Reader{N: n}}
-	}
 	e.obs = make([]*Outbox, e.k)
 	e.ws = make([]workerState, e.k)
 	for w := 0; w < e.k; w++ {
 		e.ws[w].outbox = newOutbox(nw, n)
 		e.obs[w] = e.ws[w].outbox
+		e.ws[w].env = Env{N: n, rd: Reader{N: n}}
 		e.ws[w].heads = make([]int32, e.k)
 	}
 	if nw.observer != nil {
@@ -822,6 +833,17 @@ func newEngine(nw *Network) *engine {
 		}
 	}
 	return e
+}
+
+// envAt refills worker w's Env for a call at vertex v in the current round.
+// The topology's adjacency rows are sorted at construction, so the graph
+// stays read-only once workers start.
+func (e *engine) envAt(w, v int) *Env {
+	env := &e.ws[w].env
+	env.ID = v
+	env.Neighbors = e.nw.topo.neighbors[v]
+	env.Round = e.round
+	return env
 }
 
 func (e *engine) dispatch(w, ph int) {
@@ -880,9 +902,8 @@ func (e *engine) sendShard(w int) {
 	// barrier guarantees every reader is done with them) and the arena.
 	ob.beginRound(e.round)
 	for v := w; v < e.n; v += e.k {
-		e.envs[v].Round = e.round
 		ob.begin(v)
-		nw.nodes[v].Send(&e.envs[v], ob)
+		nw.nodes[v].Send(e.envAt(w, v), ob)
 		if e.outs != nil {
 			e.outs[v] = append(e.outs[v][:0], ob.msgs...)
 		}
@@ -978,7 +999,7 @@ func (e *engine) recvShard(w int) {
 			maxInbox = len(inbox)
 		}
 		nd := nw.nodes[v]
-		nd.Receive(&e.envs[v], inbox)
+		nd.Receive(e.envAt(w, v), inbox)
 		if s, ok := nd.(StateSizer); ok {
 			if b := s.StateBits(); b > maxState {
 				maxState = b
@@ -1081,7 +1102,8 @@ func (nw *Network) Run(maxRounds int) error {
 // measure Run's speedup against it. It shares the Outbox encoder with Run,
 // so message encodings, derived bit accounting and validation errors are
 // identical by construction; only the execution strategy differs (one
-// vertex at a time, allocation per round). New code should call Run.
+// vertex at a time, allocation per round, and a materialized Env per vertex
+// where Run refills one per worker). New code should call Run.
 func (nw *Network) RunReference(maxRounds int) error {
 	n := nw.topo.n
 	envs := make([]Env, n)

@@ -76,7 +76,7 @@ func (f *capFloodNode) NextWake(env *Env, round int) int {
 // BFS flood whose result is verified against the packed-oracle BFS for
 // every vertex. Build time and peak heap are asserted, so a regression
 // that reintroduces O(n) per-vertex allocation or frontier bookkeeping
-// fails loudly. ~4 GB of memory and tens of seconds, so it is opt-in:
+// fails loudly. ~2 GB of heap and several seconds, so it is opt-in:
 //
 //	QCONGEST_CAPACITY_10M=1 go test -run TestCapacity10M -timeout 20m ./internal/congest
 func TestCapacity10M(t *testing.T) {

@@ -506,9 +506,8 @@ func (e *engine) sendShardF(w int) {
 			for word != 0 {
 				v := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				e.envs[v].Round = e.round
 				ob.begin(v)
-				nw.nodes[v].Send(&e.envs[v], ob)
+				nw.nodes[v].Send(e.envAt(w, v), ob)
 				if e.outs != nil {
 					e.outs[v] = append(e.outs[v][:0], ob.msgs...)
 				}
@@ -572,12 +571,9 @@ func (e *engine) recvShardF(w int) {
 				if len(inbox) > maxInbox {
 					maxInbox = len(inbox)
 				}
-				// Receive-only vertices (receivers outside the frontier) did
-				// not pass through the send half; their Round must still be
-				// current.
-				e.envs[v].Round = e.round
+				env := e.envAt(w, v)
 				nd := nw.nodes[v]
-				nd.Receive(&e.envs[v], inbox)
+				nd.Receive(env, inbox)
 				if s := fr.sizers[v]; s != nil {
 					if b := s.StateBits(); b > maxState {
 						maxState = b
@@ -592,7 +588,7 @@ func (e *engine) recvShardF(w int) {
 					}
 				}
 				if sc := fr.scheds[v]; sc != nil {
-					if fr.register(w, int32(v), sc.NextWake(&e.envs[v], e.round), e.round) {
+					if fr.register(w, int32(v), sc.NextWake(env, e.round), e.round) {
 						added++
 					}
 				}
@@ -661,7 +657,9 @@ func (e *engine) executeFrontier(maxRounds int) error {
 	// Initial scan, one pass over the programs: the dense engine's pre-run
 	// allDone probe plus the initial self-wake collection (NextWake after
 	// construction/reset). Both are pure queries, so fusing the passes
-	// only improves locality.
+	// only improves locality. The scan runs on the coordinator before any
+	// worker is dispatched, so it borrows worker 0's Env (at round 0).
+	e.round = 0
 	for v, nd := range nw.nodes {
 		d := nd.Done()
 		fr.done[v] = d
@@ -669,8 +667,7 @@ func (e *engine) executeFrontier(maxRounds int) error {
 			fr.notDone++
 		}
 		if sc := fr.scheds[v]; sc != nil {
-			e.envs[v].Round = 0
-			if fr.register(fr.shardOf(int32(v)), int32(v), sc.NextWake(&e.envs[v], 0), 0) {
+			if fr.register(fr.shardOf(int32(v)), int32(v), sc.NextWake(e.envAt(0, v), 0), 0) {
 				fr.nxtCount++
 			}
 		}

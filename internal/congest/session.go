@@ -45,6 +45,7 @@ type Topology struct {
 	neighbors [][]int // per-vertex views into arena
 	weights   [][]int // per-vertex views into warena; nil for unweighted graphs
 	maxW      int
+	maxDeg    int // largest row length: the size of an Outbox's port-indexed edge ledger
 }
 
 // NewTopology validates g (it must be connected, like every algorithm in
@@ -86,6 +87,7 @@ func NewTopology(g *graph.Graph) (*Topology, error) {
 			t.weights[v] = t.warena[off : off+int32(len(w)) : off+int32(len(w))]
 		}
 		off += int32(len(row))
+		t.maxDeg = max(t.maxDeg, len(row))
 	}
 	t.offsets[n] = off
 	return t, nil
@@ -137,6 +139,7 @@ func NewTopologyFromCSR(c *graph.CSR) (*Topology, error) {
 			t.arena[i] = w
 		}
 		t.neighbors[v] = t.arena[lo:hi:hi]
+		t.maxDeg = max(t.maxDeg, int(hi-lo))
 		if c.Weights != nil {
 			for i := lo; i < hi; i++ {
 				wt := int(c.Weights[i])
@@ -180,9 +183,14 @@ func (t *Topology) Degree(v int) int { return len(t.neighbors[v]) }
 // HasEdge reports whether {u, v} is an edge: a binary search on the packed
 // CSR row of u. This is the engine's per-message destination check, so it
 // must not touch the graph (whose reads synchronize against the lazy sort).
-func (t *Topology) HasEdge(u, v int) bool {
+func (t *Topology) HasEdge(u, v int) bool { return t.port(u, v) >= 0 }
+
+// port returns v's position in u's neighbor row — the port of the directed
+// edge (u, v) — or -1 when {u, v} is not an edge. Rows are ascending and
+// duplicate-free, so the binary search finds the unique position.
+func (t *Topology) port(u, v int) int {
 	if u < 0 || u >= t.n {
-		return false
+		return -1
 	}
 	row := t.arena[t.offsets[u]:t.offsets[u+1]]
 	lo, hi := 0, len(row)
@@ -194,7 +202,10 @@ func (t *Topology) HasEdge(u, v int) bool {
 			hi = mid
 		}
 	}
-	return lo < len(row) && row[lo] == v
+	if lo < len(row) && row[lo] == v {
+		return lo
+	}
+	return -1
 }
 
 // Weighted reports whether the underlying graph carries edge weights.

@@ -175,7 +175,8 @@ type (
 	CongestNetwork = congest.Network
 	// CongestNode is a per-node program (Send/Receive/Done).
 	CongestNode = congest.Node
-	// CongestEnv is the read-only per-node view the engine passes in.
+	// CongestEnv is the read-only per-node view the engine passes in;
+	// like the inbox, it is valid only for the duration of the call.
 	CongestEnv = congest.Env
 	// CongestMetrics aggregates the measured cost of a run.
 	CongestMetrics = congest.Metrics
