@@ -1006,16 +1006,17 @@ func TestWriteSuiteBench(t *testing.T) {
 	fmt.Println("wrote BENCH_suite.json")
 }
 
-// --- Scheduler benchmark: dense vs frontier round execution. BENCH_sched.json. ---
+// --- Scheduler benchmark: frontier round execution. BENCH_sched.json. ---
 //
 // The workload is the Figure 2 token walk: per round exactly one vertex
-// holds the token, so the dense engine's per-round cost is Theta(n)
+// holds the token, so an every-vertex engine's per-round cost is Theta(n)
 // (Send/Receive for all n vertices plus the O(n) quiescence scan) while the
 // frontier scheduler executes only the holder — per-round cost O(1). This
 // is the purest expression of the frontier win; flood-style workloads whose
 // frontier is the whole graph (leader election) gain nothing and lose
-// nothing (BENCH_engine.json covers those). workers=1 on both sides so the
-// comparison isolates scheduling from worker sharding.
+// nothing (BENCH_engine.json covers those). workers=1 isolates scheduling
+// from worker sharding. The every-vertex side of the comparison is the
+// frozen dense-scheduler measurement below.
 
 // schedBenchGraph builds one of the benchmark families.
 func schedBenchGraph(kind string, n int) *Graph {
@@ -1042,7 +1043,7 @@ func schedBenchGraph(kind string, n int) *Graph {
 // setup at the largest sizes (leader election on a 256k path is a Θ(n²)
 // flood) without touching what this benchmark measures, the engine's cost
 // per walk round.
-func newSchedWalk(g *Graph, steps int, sched EngineScheduler) (*congest.WalkSession, error) {
+func newSchedWalk(g *Graph, steps int) (*congest.WalkSession, error) {
 	topo, err := NewCongestTopology(g)
 	if err != nil {
 		return nil, err
@@ -1058,60 +1059,56 @@ func newSchedWalk(g *Graph, steps int, sched EngineScheduler) (*congest.WalkSess
 		Children: tree.Child,
 		D:        tree.Height(),
 	}
-	return congest.NewWalkSession(topo, info, info.Children, steps,
-		WithWorkers(1), WithScheduler(sched)), nil
+	return congest.NewWalkSession(topo, info, info.Children, steps, WithWorkers(1)), nil
 }
 
 func BenchmarkScheduler(b *testing.B) {
 	cases := []struct {
-		name   string
-		g      *Graph
-		steps  int
-		scheds []EngineScheduler
+		name  string
+		g     *Graph
+		steps int
 	}{
-		// Full Euler tour at small n: dense vs frontier head to head.
-		{"path/4096", Path(4096), 2 * (4096 - 1),
-			[]EngineScheduler{SchedulerDense, SchedulerFrontier}},
-		// Bitset-frontier row at 256k (frontier only — the dense engine
-		// grinds ~10^9 vertex-rounds here): this is the scale where the
-		// bitset representation separates from the old sorted-slice
-		// frontier; compare rounds/sec against the frozen slice baseline
-		// in BENCH_sched.json.
-		{"path/262144", Path(1 << 18), 4096,
-			[]EngineScheduler{SchedulerFrontier}},
+		// Full Euler tour at small n: the acceptance workload, compared
+		// against the frozen dense baseline in BENCH_sched.json.
+		{"path/4096", Path(4096), 2 * (4096 - 1)},
+		// Bitset-frontier row at 256k: this is the scale where the bitset
+		// representation separates from the old sorted-slice frontier;
+		// compare rounds/sec against the frozen slice baseline in
+		// BENCH_sched.json.
+		{"path/262144", Path(1 << 18), 4096},
 	}
 	for _, tc := range cases {
 		n := tc.g.N()
-		for _, sched := range tc.scheds {
-			walk, err := newSchedWalk(tc.g, tc.steps, sched)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run("walk/"+tc.name+"/"+sched.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				totalRounds := 0
-				for i := 0; i < b.N; i++ {
-					_, m, err := walk.Eval(i * 17 % n)
-					if err != nil {
-						b.Fatal(err)
-					}
-					totalRounds += m.Rounds
-				}
-				b.ReportMetric(float64(totalRounds)/b.Elapsed().Seconds(), "rounds/sec")
-			})
-			walk.Close()
+		walk, err := newSchedWalk(tc.g, tc.steps)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run("walk/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			totalRounds := 0
+			for i := 0; i < b.N; i++ {
+				_, m, err := walk.Eval(i * 17 % n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				totalRounds += m.Rounds
+			}
+			b.ReportMetric(float64(totalRounds)/b.Elapsed().Seconds(), "rounds/sec")
+		})
+		walk.Close()
 	}
 }
 
-// schedBenchRow is one row of BENCH_sched.json.
+// schedBenchRow is one row of BENCH_sched.json. Only the frozen dense
+// baseline carries a dense rate; the acceptance row's speedup divides by
+// it.
 type schedBenchRow struct {
 	Graph              string  `json:"graph"`
 	N                  int     `json:"n"`
 	Steps              int     `json:"walk_steps"`
-	DenseRoundsPerS    float64 `json:"dense_rounds_per_sec"`
-	FrontierRoundsPerS float64 `json:"frontier_rounds_per_sec"`
-	Speedup            float64 `json:"speedup"`
+	DenseRoundsPerS    float64 `json:"dense_rounds_per_sec,omitempty"`
+	FrontierRoundsPerS float64 `json:"frontier_rounds_per_sec,omitempty"`
+	Speedup            float64 `json:"speedup_vs_frozen_dense,omitempty"`
 }
 
 type schedBenchFile struct {
@@ -1129,9 +1126,8 @@ type schedBenchFile struct {
 
 // schedDenseBaseline freezes the dense-scheduler measurement of the
 // acceptance workload (path/4096 full-tour walk, workers=1) at the time
-// the frontier scheduler landed, so future regenerations of
-// BENCH_sched.json keep the original denominator even if the dense path
-// evolves. Measured on the reference machine of this PR.
+// the frontier scheduler landed: the fixed denominator of the acceptance
+// speedup. The engine no longer has a dense path to re-measure.
 var schedDenseBaseline = schedBenchRow{
 	Graph: "path", N: 4096, Steps: 8190,
 	DenseRoundsPerS: 13200, // ~620 ms for the 8190-round tour
@@ -1178,9 +1174,8 @@ func measureSchedWalk(t *testing.T, walk *congest.WalkSession, n int) float64 {
 	return float64(total) / elapsed.Seconds()
 }
 
-// TestWriteSchedBench regenerates BENCH_sched.json (and the dense-vs-
-// frontier table of EXPERIMENTS.md). Too slow for the default run — the
-// dense rows at n=256k grind through ~10^9 vertex-rounds — so it is gated:
+// TestWriteSchedBench regenerates BENCH_sched.json (and the frontier table
+// of EXPERIMENTS.md). It times, so it is gated out of the default run:
 //
 //	QCONGEST_BENCH_SCHED=1 go test -run TestWriteSchedBench -timeout 60m
 func TestWriteSchedBench(t *testing.T) {
@@ -1192,11 +1187,11 @@ func TestWriteSchedBench(t *testing.T) {
 		GoVersion:   runtime.Version(),
 		NumCPU:      runtime.NumCPU(),
 		Workload:    "Figure 2 token walk on a reused WalkSession, rounds/sec, workers=1",
-		Note: "dense = WithScheduler(SchedulerDense): every vertex executes every round. " +
-			"frontier = WithScheduler(SchedulerFrontier): only the token holder (plus the " +
-			"final timer round) executes. Outputs and Metrics are bit-identical " +
-			"(TestSchedulerEquivalenceSuite); only wall-clock time differs. The table rows " +
-			"use a fixed 4096-step walk window so rounds/sec is comparable across n; the " +
+		Note: "frontier: only the token holder (plus the final timer round) executes each round; " +
+			"outputs and Metrics are bit-identical to RunReference (TestSchedulerEquivalenceSuite). " +
+			"dense_baseline_frozen is the removed every-vertex dense scheduler, measured when the " +
+			"frontier scheduler landed — the fixed denominator of the acceptance speedup. The table " +
+			"rows use a fixed 4096-step walk window so rounds/sec is comparable across n; the " +
 			"acceptance row is the full path/4096 Euler tour (8190 steps). The " +
 			"slice_frontier_baseline_* blocks freeze the previous sorted-slice frontier " +
 			"engine (frontier_rounds_per_sec column) as the bitset engine's denominator.",
@@ -1205,35 +1200,30 @@ func TestWriteSchedBench(t *testing.T) {
 		SliceBaseline:    schedSliceBaseline256k,
 	}
 
-	measure := func(g *Graph, steps int) (dense, frontier float64) {
-		dw, err := newSchedWalk(g, steps, SchedulerDense)
+	measure := func(g *Graph, steps int) float64 {
+		w, err := newSchedWalk(g, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense = measureSchedWalk(t, dw, g.N())
-		dw.Close()
-		fw, err := newSchedWalk(g, steps, SchedulerFrontier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frontier = measureSchedWalk(t, fw, g.N())
-		fw.Close()
-		return dense, frontier
+		defer w.Close()
+		return measureSchedWalk(t, w, g.N())
 	}
 
-	// Acceptance workload: path/4096, full tour.
+	// Acceptance workload: path/4096, full tour, against the frozen dense
+	// rate.
 	gAcc := Path(4096)
-	accD, accF := measure(gAcc, 2*(gAcc.N()-1))
+	accF := measure(gAcc, 2*(gAcc.N()-1))
+	accD := schedDenseBaseline.DenseRoundsPerS
 	out.Acceptance = schedBenchRow{
 		Graph: "path", N: gAcc.N(), Steps: 2 * (gAcc.N() - 1),
-		DenseRoundsPerS: accD, FrontierRoundsPerS: accF, Speedup: accF / accD,
+		FrontierRoundsPerS: accF, Speedup: accF / accD,
 	}
 	if out.Acceptance.Speedup < 3 {
-		t.Errorf("acceptance: frontier %.0f r/s vs dense %.0f r/s = %.2fx, want >= 3x",
+		t.Errorf("acceptance: frontier %.0f r/s vs frozen dense %.0f r/s = %.2fx, want >= 3x",
 			accF, accD, out.Acceptance.Speedup)
 	}
-	t.Logf("acceptance path/4096 tour: dense %.0f r/s, frontier %.0f r/s, %.1fx",
-		accD, accF, out.Acceptance.Speedup)
+	t.Logf("acceptance path/4096 tour: frontier %.0f r/s, %.1fx the frozen dense %.0f r/s",
+		accF, out.Acceptance.Speedup, accD)
 
 	// EXPERIMENTS.md table: fixed 4096-step walk across families and sizes.
 	const steps = 4096
@@ -1245,14 +1235,9 @@ func TestWriteSchedBench(t *testing.T) {
 	for _, kind := range []string{"path", "grid", "tree"} {
 		for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {
 			g := schedBenchGraph(kind, n)
-			d, f := measure(g, steps)
-			row := schedBenchRow{
-				Graph: kind, N: g.N(), Steps: steps,
-				DenseRoundsPerS: d, FrontierRoundsPerS: f, Speedup: f / d,
-			}
-			out.Results = append(out.Results, row)
-			t.Logf("%-5s n=%-7d dense=%9.0f r/s frontier=%10.0f r/s speedup=%7.1fx",
-				kind, g.N(), d, f, row.Speedup)
+			f := measure(g, steps)
+			out.Results = append(out.Results, schedBenchRow{Graph: kind, N: g.N(), Steps: steps, FrontierRoundsPerS: f})
+			t.Logf("%-5s n=%-7d frontier=%10.0f r/s", kind, g.N(), f)
 			if n == 1<<18 {
 				ratio := f / sliceAt256k[kind]
 				t.Logf("%-5s n=%-7d bitset vs frozen slice frontier: %.2fx", kind, g.N(), ratio)
@@ -1279,18 +1264,11 @@ func TestWriteSchedBench(t *testing.T) {
 	fmt.Println("wrote BENCH_sched.json")
 }
 
-// --- Lane-fused batch benchmark: BENCH_batch.json. ---
+// --- Solo Evaluation throughput: BENCH_batch.json. ---
 //
-// QuantumOptions.Lanes (congest.MultiSession) runs k independent
-// Evaluations in lockstep through a single engine pass: one frontier
-// iteration per round over the union of the lanes' frontiers, one topology
-// row load per visited vertex feeding every lane's state. Outputs, Metrics
-// and traces are bit-identical per lane to solo sessions
-// (TestLaneEquivalenceSweep); only throughput differs. This benchmark
-// records what fusing buys the hot Evaluation of Eccentricities — the
-// single-initiator wave + max convergecast — on path/4096, workers=1, so
-// the comparison isolates lane fusion from worker sharding and from
-// Pool-level parallelism.
+// The hot Evaluation of Eccentricities — the single-initiator wave + max
+// convergecast — on a reused EccSession on path/4096, workers=1, measured
+// in evals/sec against a frozen solo rate.
 
 // newBatchEccInfo prepares the batch benchmark's topology and BFS tree from
 // the sequential oracle (same rationale as newSchedWalk: distributed
@@ -1314,107 +1292,47 @@ func newBatchEccInfo(g *Graph) (*CongestTopology, *congest.PreInfo, error) {
 	}, nil
 }
 
-// batchEccEvaluator returns a closure running one batch of `lanes`
-// eccentricity Evaluations (lanes=1 uses a solo EccSession) plus its
-// teardown. Each call advances the initiator set deterministically.
-func batchEccEvaluator(topo *CongestTopology, info *congest.PreInfo, lanes int) (run func() error, close func()) {
+// soloEccEvaluator returns a closure running one eccentricity Evaluation on
+// a solo EccSession plus its teardown. Each call advances the initiator to
+// the next vertex, the order query.EvalAll walks the identity domain.
+func soloEccEvaluator(topo *CongestTopology, info *congest.PreInfo) (run func() error, close func()) {
 	n := topo.N()
-	waveDuration := 2*info.D + 1
-	// Initiators advance consecutively, the order query.EvalAll feeds a
-	// lane backend (the ordered identity domain, chunked): adjacent lanes
-	// run adjacent initiators, so the lane frontiers overlap maximally —
-	// the representative (and most favorable) batch shape.
-	if lanes <= 1 {
-		ecc := congest.NewEccSession(topo, info, waveDuration, WithWorkers(1))
-		tau := make([]int, n)
-		for i := range tau {
-			tau[i] = -1
-		}
-		last := -1
-		next := 1
-		return func() error {
-			if last >= 0 {
-				tau[last] = -1
-			}
-			tau[next], last = 0, next
-			next = (next + 1) % n
-			_, _, err := ecc.Eval(tau)
-			return err
-		}, ecc.Close
+	ecc := congest.NewEccSession(topo, info, 2*info.D+1, WithWorkers(1))
+	tau := make([]int, n)
+	for i := range tau {
+		tau[i] = -1
 	}
-	ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, WithWorkers(1))
-	taus := make([][]int, lanes)
-	lasts := make([]int, lanes)
-	for l := range taus {
-		taus[l] = make([]int, n)
-		for i := range taus[l] {
-			taus[l][i] = -1
-		}
-		lasts[l] = -1
-	}
+	last := -1
 	next := 1
 	return func() error {
-		for l := range taus {
-			if lasts[l] >= 0 {
-				taus[l][lasts[l]] = -1
-			}
-			taus[l][next], lasts[l] = 0, next
-			next = (next + 1) % n
+		if last >= 0 {
+			tau[last] = -1
 		}
-		_, _, err := ecc.EvalBatch(taus)
+		tau[next], last = 0, next
+		next = (next + 1) % n
+		_, _, err := ecc.Eval(tau)
 		return err
 	}, ecc.Close
 }
 
-// BenchmarkEvalBatch is the CI canary for the lane engine: one batch of
-// warm Evaluations per iteration, solo vs 8 lanes. The figure of merit is
-// evals/sec; lanes=8 falling back toward the lanes=1 rate means the fused
-// pass stopped sharing per-round work.
-func BenchmarkEvalBatch(b *testing.B) {
-	g := Path(4096)
-	topo, info, err := newBatchEccInfo(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, lanes := range []int{1, 8} {
-		run, closeFn := batchEccEvaluator(topo, info, lanes)
-		b.Run("path/n=4096/lanes="+itoa(lanes), func(b *testing.B) {
-			if err := run(); err != nil { // warm: engines built, buffers grown
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*lanes)/b.Elapsed().Seconds(), "evals/sec")
-		})
-		closeFn()
-	}
-}
-
-// batchSoloBaseline freezes the solo (lanes=1) measurement of the
-// acceptance workload at the time the lane engine landed, on this machine,
-// so future regenerations of BENCH_batch.json keep the original
-// denominator even as the solo path evolves.
+// batchSoloBaseline freezes the solo measurement of the acceptance
+// workload, on this machine, so regenerations of BENCH_batch.json keep the
+// original denominator even as the solo path evolves.
 var batchSoloBaseline = struct {
 	Workload    string  `json:"workload"`
 	EvalsPerSec float64 `json:"evals_per_sec"`
 }{
 	Workload:    "single-initiator eccentricity Evaluation (2d+1 wave + max convergecast) on path/4096, solo EccSession, workers=1, frontier scheduler",
-	EvalsPerSec: 460, // measured when the lane engine landed (best of 3 x 1.5s)
+	EvalsPerSec: 460, // best of 3 x 1.5s when the frozen baseline was taken
 }
 
 // batchBenchRow is one row of BENCH_batch.json.
 type batchBenchRow struct {
-	Graph          string  `json:"graph"`
-	N              int     `json:"n"`
-	Lanes          int     `json:"lanes"`
-	EvalsPerSec    float64 `json:"evals_per_sec"`
-	SpeedupVsSolo  float64 `json:"speedup_vs_frozen_solo"`
-	AllocsPerBatch float64 `json:"allocs_per_batch"`
+	Graph         string  `json:"graph"`
+	N             int     `json:"n"`
+	EvalsPerSec   float64 `json:"evals_per_sec"`
+	SpeedupVsSolo float64 `json:"speedup_vs_frozen_solo"`
+	AllocsPerEval float64 `json:"allocs_per_eval"`
 }
 
 type batchBenchFile struct {
@@ -1427,37 +1345,30 @@ type batchBenchFile struct {
 	Results      []batchBenchRow `json:"results"`
 }
 
-// measureBatchEcc reports evals/sec of repeated batches over a wall-clock
-// floor.
-func measureBatchEcc(t *testing.T, run func() error, lanes int) float64 {
+// measureSoloEcc reports evals/sec of repeated Evaluations over a
+// wall-clock floor.
+func measureSoloEcc(t *testing.T, run func() error) float64 {
 	t.Helper()
 	const floor = 500 * time.Millisecond
 	if err := run(); err != nil { // warm
 		t.Fatal(err)
 	}
 	var elapsed time.Duration
-	batches := 0
-	for (elapsed < floor && batches < 4096) || batches < 1 {
+	evals := 0
+	for (elapsed < floor && evals < 4096) || evals < 1 {
 		start := time.Now()
 		if err := run(); err != nil {
 			t.Fatal(err)
 		}
 		elapsed += time.Since(start)
-		batches++
+		evals++
 	}
-	return float64(batches*lanes) / elapsed.Seconds()
+	return float64(evals) / elapsed.Seconds()
 }
 
-// TestWriteBatchBench regenerates BENCH_batch.json and enforces the lane
-// engine's throughput floor: Eccentricities-style Evaluations on path/4096
-// at lanes=8 must hold at least half the evals/sec of the frozen lanes=1
-// baseline (the no-catastrophic-fusion-tax canary). The original 2x
-// amortization target is recorded in the JSON instead of enforced: on this
-// workload ~90% of an Evaluation's cost is per-lane wire and program work
-// that per-lane Bits/Rounds accounting requires fusion to repeat, so the
-// shareable per-round scan overhead caps the fused speedup well under 2x —
-// EXPERIMENTS.md ("Lane-fused throughput") has the measured decomposition
-// and the ceiling argument. Too slow for the default run, so it is gated:
+// TestWriteBatchBench regenerates BENCH_batch.json: the solo EccSession
+// row against the frozen solo baseline, which must hold at least half of
+// it. It times, so it is gated out of the default run:
 //
 //	QCONGEST_BENCH_BATCH=1 go test -run TestWriteBatchBench -timeout 30m
 func TestWriteBatchBench(t *testing.T) {
@@ -1469,15 +1380,8 @@ func TestWriteBatchBench(t *testing.T) {
 		GoVersion:   runtime.Version(),
 		NumCPU:      runtime.NumCPU(),
 		Workload:    "single-initiator eccentricity Evaluation (2d+1 wave + max convergecast) on path/4096, workers=1",
-		Note: "lanes=1 = solo congest.EccSession (Reset+Run per Evaluation); lanes=k = one " +
-			"congest.MultiEccSession running k Evaluations per engine pass, consecutive initiators " +
-			"(the EvalAll chunk shape). Per-lane outputs, Metrics and traces are bit-identical to " +
-			"solo runs (TestLaneEquivalenceSweep, TestMultiEvalSessionEquivalence); only throughput " +
-			"differs. workers=1 isolates lane fusion from worker sharding. solo_baseline_frozen is " +
-			"the lanes=1 rate measured when the lane engine landed — the fixed denominator of the " +
-			"speedup column. The 2x amortization target is not met on this workload: per-lane wire " +
-			"and program work (which per-lane accounting requires fusion to repeat) is ~90% of an " +
-			"Evaluation, capping the fused speedup — see EXPERIMENTS.md, Lane-fused throughput.",
+		Note: "solo congest.EccSession (Reset+Run per Evaluation), consecutive initiators. " +
+			"solo_baseline_frozen is the fixed denominator of the speedup column.",
 		SoloBaseline: batchSoloBaseline,
 	}
 	g := Path(4096)
@@ -1485,30 +1389,23 @@ func TestWriteBatchBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lanes8 float64
-	for _, lanes := range []int{1, 2, 4, 8, 16} {
-		run, closeFn := batchEccEvaluator(topo, info, lanes)
-		rate := measureBatchEcc(t, run, lanes)
-		allocs := testing.AllocsPerRun(5, func() {
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		closeFn()
-		row := batchBenchRow{
-			Graph: "path", N: g.N(), Lanes: lanes, EvalsPerSec: rate,
-			SpeedupVsSolo: rate / batchSoloBaseline.EvalsPerSec, AllocsPerBatch: allocs,
+	run, closeFn := soloEccEvaluator(topo, info)
+	rate := measureSoloEcc(t, run)
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := run(); err != nil {
+			t.Fatal(err)
 		}
-		out.Results = append(out.Results, row)
-		t.Logf("lanes=%-3d %9.1f evals/sec  %6.2fx vs frozen solo  %5.1f allocs/batch",
-			lanes, rate, row.SpeedupVsSolo, allocs)
-		if lanes == 8 {
-			lanes8 = rate
-		}
+	})
+	closeFn()
+	row := batchBenchRow{
+		Graph: "path", N: g.N(), EvalsPerSec: rate,
+		SpeedupVsSolo: rate / batchSoloBaseline.EvalsPerSec, AllocsPerEval: allocs,
 	}
-	if speedup := lanes8 / batchSoloBaseline.EvalsPerSec; speedup < 0.5 {
-		t.Errorf("acceptance: lanes=8 %.1f evals/sec = %.2fx frozen solo baseline %.1f, want >= 0.5x",
-			lanes8, speedup, batchSoloBaseline.EvalsPerSec)
+	out.Results = append(out.Results, row)
+	t.Logf("solo %9.1f evals/sec  %6.2fx vs frozen solo  %5.1f allocs/eval", rate, row.SpeedupVsSolo, allocs)
+	if row.SpeedupVsSolo < 0.5 {
+		t.Errorf("acceptance: solo %.1f evals/sec = %.2fx frozen solo baseline %.1f, want >= 0.5x",
+			rate, row.SpeedupVsSolo, batchSoloBaseline.EvalsPerSec)
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -1531,25 +1428,23 @@ func apspBenchGraph(n int) *Graph {
 }
 
 // BenchmarkApsp is the CI canary for the APSP sweep: one full n-source
-// sweep per iteration, solo vs 8 lanes, reporting the measured per-source
-// round cost (the domain metric the papers bound by Õ(sqrt(n) + D)).
+// sweep per iteration, reporting the measured per-source round cost (the
+// domain metric the papers bound by Õ(sqrt(n) + D)).
 func BenchmarkApsp(b *testing.B) {
 	g := apspBenchGraph(256)
-	for _, lanes := range []int{1, 8} {
-		b.Run("er/n=256/lanes="+itoa(lanes), func(b *testing.B) {
-			b.ReportAllocs()
-			var res ApspResult
-			for i := 0; i < b.N; i++ {
-				r, err := APSP(g, QuantumOptions{Seed: 1, Lanes: lanes}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
+	b.Run("er/n=256", func(b *testing.B) {
+		b.ReportAllocs()
+		var res ApspResult
+		for i := 0; i < b.N; i++ {
+			r, err := APSP(g, QuantumOptions{Seed: 1}, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.EvalRounds), "rounds/eval")
-			b.ReportMetric(float64(res.Sources)*float64(b.N)/b.Elapsed().Seconds(), "evals/sec")
-		})
-	}
+			res = r
+		}
+		b.ReportMetric(float64(res.EvalRounds), "rounds/eval")
+		b.ReportMetric(float64(res.Sources)*float64(b.N)/b.Elapsed().Seconds(), "evals/sec")
+	})
 }
 
 // apspClassicalBaseline freezes the classical weighted Evaluation cost on
@@ -1572,7 +1467,6 @@ var apspClassicalBaseline = struct {
 type apspBenchRow struct {
 	Graph             string  `json:"graph"`
 	N                 int     `json:"n"`
-	Lanes             int     `json:"lanes"`
 	EvalRounds        int     `json:"eval_rounds"`
 	InitRounds        int     `json:"init_rounds"`
 	TotalRounds       int     `json:"total_rounds"`
@@ -1611,9 +1505,7 @@ func TestWriteApspBench(t *testing.T) {
 			"distribution), amortized over all n sources. classical_baseline_frozen is the " +
 			"(n-1)-round Bellman–Ford Evaluation on er-512, measured when quantum APSP landed — " +
 			"the fixed denominator of eval_rounds_vs_frozen_classical. Rounds are deterministic; " +
-			"only evals_per_sec is machine-dependent. Lane counts change throughput only — every " +
-			"emitted row and every round counter is bit-identical across lanes " +
-			"(TestApspMatchesOracles).",
+			"only evals_per_sec is machine-dependent.",
 		ClassicalBaseline: apspClassicalBaseline,
 	}
 	var accepted *apspBenchRow
@@ -1635,30 +1527,28 @@ func TestWriteApspBench(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, lanes := range []int{1, 2, 4, 8} {
-			start := time.Now()
-			res, err := APSP(g, QuantumOptions{Seed: 1, Lanes: lanes}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			elapsed := time.Since(start)
-			row := apspBenchRow{
-				Graph: "er", N: n, Lanes: lanes,
-				EvalRounds: res.EvalRounds, InitRounds: res.InitRounds, TotalRounds: res.Rounds,
-				EvalsPerSec:       float64(res.Sources) / elapsed.Seconds(),
-				RoundsVsClassical: float64(res.EvalRounds) / float64(apspClassicalBaseline.EvalRounds),
-				ClassicalEvalMeas: cm.Rounds,
-			}
-			out.Results = append(out.Results, row)
-			t.Logf("n=%-5d lanes=%-3d eval=%4d rounds (classical here %4d, frozen %d)  init=%6d  %7.1f evals/sec",
-				n, lanes, row.EvalRounds, cm.Rounds, apspClassicalBaseline.EvalRounds, row.InitRounds, row.EvalsPerSec)
-			if n == apspClassicalBaseline.N && lanes == 1 {
-				accepted = &out.Results[len(out.Results)-1]
-			}
+		start := time.Now()
+		res, err := APSP(g, QuantumOptions{Seed: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		row := apspBenchRow{
+			Graph: "er", N: n,
+			EvalRounds: res.EvalRounds, InitRounds: res.InitRounds, TotalRounds: res.Rounds,
+			EvalsPerSec:       float64(res.Sources) / elapsed.Seconds(),
+			RoundsVsClassical: float64(res.EvalRounds) / float64(apspClassicalBaseline.EvalRounds),
+			ClassicalEvalMeas: cm.Rounds,
+		}
+		out.Results = append(out.Results, row)
+		t.Logf("n=%-5d eval=%4d rounds (classical here %4d, frozen %d)  init=%6d  %7.1f evals/sec",
+			n, row.EvalRounds, cm.Rounds, apspClassicalBaseline.EvalRounds, row.InitRounds, row.EvalsPerSec)
+		if n == apspClassicalBaseline.N {
+			accepted = &out.Results[len(out.Results)-1]
 		}
 	}
 	if accepted == nil {
-		t.Fatal("acceptance row (n=512, lanes=1) missing")
+		t.Fatal("acceptance row (n=512) missing")
 	}
 	if accepted.EvalRounds >= apspClassicalBaseline.EvalRounds {
 		t.Errorf("acceptance: skeleton Evaluation %d rounds >= frozen classical Bellman–Ford %d on er-512 — not sublinear",

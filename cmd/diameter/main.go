@@ -7,8 +7,8 @@
 //	diameter -graph lollipop -n 80 -d 5 -algo classical-exact
 //	diameter -graph random -n 40 -param radius -weighted -maxw 8
 //	diameter -graph random -n 40 -param ecc -parallel 4
-//	diameter -graph random -n 60 -param apsp -weighted -lanes 8
-//	diameter -graph path -n 2048 -param ecc -lanes 8 -cpuprofile /tmp/ecc.prof
+//	diameter -graph random -n 60 -param apsp -weighted
+//	diameter -graph path -n 2048 -param ecc -cpuprofile ecc.prof
 package main
 
 import (
@@ -44,9 +44,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxw       = fs.Int("maxw", 8, "largest edge weight used by -weighted")
 		seed       = fs.Int64("seed", 1, "random seed")
 		workers    = fs.Int("workers", 0, "engine workers per round (0 = auto, 1 = serial; output is identical for any value)")
-		sched      = fs.String("sched", "frontier", "round scheduler: frontier|dense (output is identical for either)")
 		parallel   = fs.Int("parallel", 0, "evaluation sessions run concurrently by the quantum algorithms (0 = one per CPU, each on a serial engine; 1 = sequential; -param apsp treats 0 as 1; output is identical for any value)")
-		lanes      = fs.Int("lanes", 0, "Evaluations fused per lane-engine pass (0/1 = solo sessions; output is identical for any value)")
 		sublinear  = fs.Bool("sublinear", false, "route the weighted parameters through the skeleton distance oracle (sublinear per-Evaluation rounds; -param apsp always does)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
@@ -85,20 +83,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workers > 0 {
 		engine = append(engine, qcongest.WithWorkers(*workers))
 	}
-	switch *sched {
-	case "frontier":
-		engine = append(engine, qcongest.WithScheduler(qcongest.SchedulerFrontier))
-	case "dense":
-		engine = append(engine, qcongest.WithScheduler(qcongest.SchedulerDense))
-	default:
-		return fmt.Errorf("unknown scheduler %q (want frontier or dense)", *sched)
-	}
-	// The single-Evaluation-per-query workloads never batch, so lane fusion
-	// cannot apply to them; say so instead of silently ignoring the flag.
-	if *lanes > 1 && (*param == "triangle" || *param == "mincut") {
-		fmt.Fprintf(stderr, "diameter: warning: -lanes %d has no effect for -param %s (single-evaluation workload, solo sessions)\n",
-			*lanes, *param)
-	}
 
 	g, err := buildGraph(*kind, *n, *d, *p, *seed)
 	if err != nil {
@@ -120,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "graph=%s n=%d m=%d weighted=false true-diameter=%d\n", *kind, g.N(), g.M(), truth)
 	}
 
-	qopts := qcongest.QuantumOptions{Seed: *seed, Parallel: *parallel, Lanes: *lanes, Sublinear: *sublinear, Engine: engine}
+	qopts := qcongest.QuantumOptions{Seed: *seed, Parallel: *parallel, Sublinear: *sublinear, Engine: engine}
 	if *param != "diameter" {
 		return runParam(stdout, g, *param, *weighted, qopts)
 	}

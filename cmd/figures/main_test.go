@@ -30,34 +30,18 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLILanesDeterministic asserts lane-fused Figure-2 Evaluations and the
-// dense scheduler produce byte-identical output to the solo default — the
-// bit-identity contract of MultiEccSession surfaced at the CLI.
+// TestCLILanesDeterministic asserts the engine worker count never changes
+// the output: sharded runs print byte-identical figures to the default.
 func TestCLILanesDeterministic(t *testing.T) {
-	outputs := make([]string, 0, 3)
-	for _, args := range [][]string{
-		nil,
-		{"-lanes", "2"},
-		{"-lanes", "8", "-sched", "dense", "-workers", "2"},
-	} {
+	outputs := make([]string, 0, 2)
+	for _, args := range [][]string{nil, {"-workers", "2"}} {
 		var stdout, stderr strings.Builder
 		if err := run(args, &stdout, &stderr); err != nil {
 			t.Fatalf("run(%v): %v\nstderr: %s", args, err, stderr.String())
 		}
 		outputs = append(outputs, stdout.String())
 	}
-	for i := 1; i < len(outputs); i++ {
-		if outputs[i] != outputs[0] {
-			t.Errorf("output %d differs from solo baseline:\n%s\nvs\n%s", i, outputs[i], outputs[0])
-		}
-	}
-}
-
-// TestCLIBadScheduler asserts unknown -sched values are rejected up front.
-func TestCLIBadScheduler(t *testing.T) {
-	var stdout, stderr strings.Builder
-	err := run([]string{"-sched", "nope"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("run(-sched nope) = %v, want unknown-scheduler error", err)
+	if outputs[1] != outputs[0] {
+		t.Errorf("-workers 2 output differs from the default:\n%s\nvs\n%s", outputs[1], outputs[0])
 	}
 }

@@ -18,11 +18,6 @@ func TestCLISmoke(t *testing.T) {
 			[]string{"-trials", "1"},
 			[]string{"=== Table 1, row 'Exact computation' ===", "quantum exact (Theorem 1)", "classical slope vs n:"},
 		},
-		{
-			"dense scheduler with lanes",
-			[]string{"-trials", "1", "-sched", "dense", "-lanes", "4", "-parallel", "2"},
-			[]string{"quantum exact (Theorem 1)", "=== Table 1, row '3/2-approximation' ==="},
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
@@ -41,15 +36,14 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLILanesDeterministic asserts the -lanes and -sched knobs never change
-// the measured tables: lane fusion and scheduling strategy are wall-clock
-// levers, not semantics.
+// TestCLILanesDeterministic asserts the -workers and -parallel knobs never
+// change the measured tables: round sharding and concurrent trials are
+// wall-clock levers, not semantics.
 func TestCLILanesDeterministic(t *testing.T) {
-	outputs := make([]string, 0, 3)
+	outputs := make([]string, 0, 2)
 	for _, args := range [][]string{
 		{"-trials", "1"},
-		{"-trials", "1", "-lanes", "4"},
-		{"-trials", "1", "-sched", "dense", "-workers", "2"},
+		{"-trials", "1", "-workers", "2", "-parallel", "2"},
 	} {
 		var stdout, stderr strings.Builder
 		if err := run(args, &stdout, &stderr); err != nil {
@@ -57,18 +51,7 @@ func TestCLILanesDeterministic(t *testing.T) {
 		}
 		outputs = append(outputs, stdout.String())
 	}
-	for i := 1; i < len(outputs); i++ {
-		if outputs[i] != outputs[0] {
-			t.Errorf("output %d differs from baseline:\n%s\nvs\n%s", i, outputs[i], outputs[0])
-		}
-	}
-}
-
-// TestCLIBadScheduler asserts unknown -sched values are rejected up front.
-func TestCLIBadScheduler(t *testing.T) {
-	var stdout, stderr strings.Builder
-	err := run([]string{"-sched", "nope"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("run(-sched nope) = %v, want unknown-scheduler error", err)
+	if outputs[1] != outputs[0] {
+		t.Errorf("-workers 2 -parallel 2 output differs from the default:\n%s\nvs\n%s", outputs[1], outputs[0])
 	}
 }

@@ -336,8 +336,7 @@ func (s *SkelRelayNode) StateBits() int { return (s.Slots + 4) * 64 }
 // SkelOracle is a preprocessed skeleton distance oracle over one topology:
 // the hop budget H, the skeleton S, and the per-vertex combine tables dsv.
 // Build it once with NewSkelOracle (the init phase, charged to InitRounds)
-// and evaluate any number of sources through SkelEvalSession /
-// MultiSkelEvalSession.
+// and evaluate any number of sources through SkelEvalSession.
 type SkelOracle struct {
 	topo     *Topology
 	info     *PreInfo
@@ -358,11 +357,12 @@ type SkelOracle struct {
 }
 
 // NewSkelOracle runs the init phase: an H-hop truncated Bellman–Ford
-// relaxation from every skeleton vertex (lane-fused into batches of `lanes`
-// when lanes > 1 — wall-clock only, the charged rounds are the sum of the
-// bit-identical per-lane costs), the Floyd–Warshall closure of the
+// relaxation from every skeleton vertex, the Floyd–Warshall closure of the
 // skeleton-to-skeleton H-hop distances at the leader, and the per-vertex
 // combine tables.
+//
+// The lanes argument is ignored — every value builds the same oracle — and
+// remains only so existing callers compile.
 func NewSkelOracle(topo *Topology, info *PreInfo, skeleton []int, h, lanes int, opts ...Option) (*SkelOracle, error) {
 	n := topo.N()
 	if h < 1 || h > n {
@@ -402,7 +402,7 @@ func NewSkelOracle(topo *Topology, info *PreInfo, skeleton []int, h, lanes int, 
 	for i := range hmat {
 		hmat[i] = make([]int, n)
 	}
-	if err := o.runInitRelaxations(hmat, lanes, opts...); err != nil {
+	if err := o.runInitRelaxations(hmat, opts...); err != nil {
 		return nil, err
 	}
 
@@ -464,60 +464,25 @@ func NewSkelOracle(topo *Topology, info *PreInfo, skeleton []int, h, lanes int, 
 // runInitRelaxations fills hmat[i] with the H-hop-bounded distances from
 // skeleton vertex i (skelInf for vertices unreached within H hops) and adds
 // the measured rounds of every relaxation to InitRounds.
-func (o *SkelOracle) runInitRelaxations(hmat [][]int, lanes int, opts ...Option) error {
+func (o *SkelOracle) runInitRelaxations(hmat [][]int, opts ...Option) error {
 	topo, n, h, bound := o.topo, o.topo.N(), o.H, o.bound
-	s := len(o.Skeleton)
-	read := func(i int, node *WeightedSSSPNode, v int) {
-		if node.Dist < 0 {
-			hmat[i][v] = skelInf
-		} else {
-			hmat[i][v] = node.Dist
-		}
-	}
-	if lanes <= 1 || s == 1 {
-		ses := NewSession(topo, func(v int) Node {
-			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, h)
-		}, opts...)
-		defer ses.Close()
-		for i, src := range o.Skeleton {
-			if err := ses.Reset(WeightedSource{Source: src}); err != nil {
-				return err
-			}
-			if err := ses.Run(h + 4); err != nil {
-				return fmt.Errorf("skeleton relaxation from %d: %w", src, err)
-			}
-			o.InitRounds += ses.Metrics().Rounds
-			for v := 0; v < n; v++ {
-				read(i, ses.Node(v).(*WeightedSSSPNode), v)
-			}
-		}
-		return nil
-	}
-	if lanes > s {
-		lanes = s
-	}
-	ms := NewMultiSession(topo, lanes, func(lane, v int) Node {
+	ses := NewSession(topo, func(v int) Node {
 		return NewWeightedSSSPNode(false, topo.NeighborWeights(v), bound, h)
 	}, opts...)
-	defer ms.Close()
-	for base := 0; base < s; base += lanes {
-		k := min(lanes, s-base)
-		for l := 0; l < lanes; l++ {
-			// Pad the final batch with repeats of its last source; the
-			// padding lanes run but are never read.
-			src := o.Skeleton[base+min(l, k-1)]
-			if err := ms.Reset(l, WeightedSource{Source: src}); err != nil {
-				return err
-			}
+	defer ses.Close()
+	for i, src := range o.Skeleton {
+		if err := ses.Reset(WeightedSource{Source: src}); err != nil {
+			return err
 		}
-		ms.Run(h + 4)
-		for l := 0; l < k; l++ {
-			if err := ms.LaneErr(l); err != nil {
-				return fmt.Errorf("skeleton relaxation from %d: %w", o.Skeleton[base+l], err)
-			}
-			o.InitRounds += ms.Metrics(l).Rounds
-			for v := 0; v < n; v++ {
-				read(base+l, ms.Node(l, v).(*WeightedSSSPNode), v)
+		if err := ses.Run(h + 4); err != nil {
+			return fmt.Errorf("skeleton relaxation from %d: %w", src, err)
+		}
+		o.InitRounds += ses.Metrics().Rounds
+		for v := 0; v < n; v++ {
+			if d := ses.Node(v).(*WeightedSSSPNode).Dist; d < 0 {
+				hmat[i][v] = skelInf
+			} else {
+				hmat[i][v] = d
 			}
 		}
 	}
@@ -638,147 +603,4 @@ func (es *SkelEvalSession) Close() {
 	es.bf.Close()
 	es.relay.Close()
 	es.cc.Close()
-}
-
-// MultiSkelEvalSession is the lane-fused SkelEvalSession: up to Lanes()
-// oracle Evaluations per EvalBatch, each stage one MultiSession pass, each
-// lane bit-identical — value, Metrics, error string — to a solo Eval.
-type MultiSkelEvalSession struct {
-	o     *SkelOracle
-	bf    *MultiSession
-	relay *MultiSession
-	cc    *MultiSession
-
-	bfn  [][]*WeightedSSSPNode // [lane][v]
-	vec  []*SkelRelayNode      // [lane] leader relay programs
-	ccl  []*WeightedMaxNode    // [lane] leader convergecast programs
-	dist [][]int
-	rows [][]int
-	vals []int
-	mets []Metrics
-	errs []error
-}
-
-// NewMultiEvalSession builds the lane-fused triple.
-func (o *SkelOracle) NewMultiEvalSession(lanes int, opts ...Option) *MultiSkelEvalSession {
-	topo, info := o.topo, o.info
-	n := topo.N()
-	s := len(o.Skeleton)
-	me := &MultiSkelEvalSession{
-		o: o,
-		bf: NewMultiSession(topo, lanes, func(lane, v int) Node {
-			return NewWeightedSSSPNode(false, topo.NeighborWeights(v), o.bound, o.H)
-		}, opts...),
-		relay: NewMultiSession(topo, lanes, func(lane, v int) Node {
-			return NewSkelRelayNode(info.Parent[v], info.Children[v], info.Depth[v], info.D, s, o.slotOf[v], o.bound)
-		}, opts...),
-		cc: NewMultiSession(topo, lanes, func(lane, v int) Node {
-			return NewWeightedMaxNode(info.Parent[v], info.Children[v], 0, v, o.bound)
-		}, opts...),
-		bfn:  make([][]*WeightedSSSPNode, lanes),
-		vec:  make([]*SkelRelayNode, lanes),
-		ccl:  make([]*WeightedMaxNode, lanes),
-		dist: make([][]int, lanes),
-		rows: make([][]int, lanes),
-		vals: make([]int, lanes),
-		mets: make([]Metrics, lanes),
-		errs: make([]error, lanes),
-	}
-	for l := 0; l < lanes; l++ {
-		me.bfn[l] = make([]*WeightedSSSPNode, n)
-		for v := 0; v < n; v++ {
-			me.bfn[l][v] = me.bf.Node(l, v).(*WeightedSSSPNode)
-		}
-		me.vec[l] = me.relay.Node(l, info.Leader).(*SkelRelayNode)
-		me.ccl[l] = me.cc.Node(l, info.Leader).(*WeightedMaxNode)
-		me.dist[l] = make([]int, n)
-		me.rows[l] = make([]int, n)
-	}
-	return me
-}
-
-// Lanes returns the lane count.
-func (me *MultiSkelEvalSession) Lanes() int { return me.bf.Lanes() }
-
-// EvalBatch evaluates the oracle for each source (len(sources) <= Lanes()),
-// returning per-lane eccentricities and Metrics bit-identical to solo
-// Evals. When rows is non-nil, rows[l] is filled with the distance row of
-// sources[l]. The first (smallest-lane) failure is returned as a
-// *LaneError; returned slices are owned by the session and only valid until
-// the next EvalBatch.
-func (me *MultiSkelEvalSession) EvalBatch(sources []int, rows [][]int) ([]int, []Metrics, error) {
-	o := me.o
-	for l, src := range sources {
-		me.mets[l] = Metrics{}
-		me.errs[l] = nil
-		if err := me.bf.Reset(l, WeightedSource{Source: src}); err != nil {
-			return nil, nil, &LaneError{Lane: l, Err: err}
-		}
-	}
-	me.bf.Run(o.H + 4)
-	anyRelay := false
-	for l := range sources {
-		if err := me.bf.LaneErr(l); err != nil {
-			me.errs[l] = fmt.Errorf("skeleton relaxation: %w", err)
-			continue
-		}
-		me.mets[l].Add(me.bf.Metrics(l))
-		for v, nd := range me.bfn[l] {
-			me.dist[l][v] = nd.Dist
-		}
-		if err := me.relay.Reset(l, SkelSeed{Value: me.dist[l]}); err != nil {
-			me.errs[l] = err
-			continue
-		}
-		anyRelay = true
-	}
-	if anyRelay {
-		me.relay.Run(o.relayDuration() + 4)
-	}
-	anyCC := false
-	for l, src := range sources {
-		if me.errs[l] != nil {
-			continue
-		}
-		if err := me.relay.LaneErr(l); err != nil {
-			me.errs[l] = fmt.Errorf("skeleton relay: %w", err)
-			continue
-		}
-		me.mets[l].Add(me.relay.Metrics(l))
-		row := me.rows[l]
-		if rows != nil {
-			row = rows[l]
-		}
-		if err := o.combineRow(src, me.dist[l], me.vec[l].Vec, row); err != nil {
-			me.errs[l] = err
-			continue
-		}
-		if err := me.cc.Reset(l, WeightedMaxInputs{Values: row}); err != nil {
-			me.errs[l] = err
-			continue
-		}
-		anyCC = true
-	}
-	if anyCC {
-		me.cc.Run(4*o.topo.N() + 16)
-		for l := range sources {
-			if me.errs[l] != nil || me.bf.LaneErr(l) != nil || me.relay.LaneErr(l) != nil {
-				continue
-			}
-			if err := me.cc.LaneErr(l); err != nil {
-				me.errs[l] = fmt.Errorf("weighted convergecast: %w", err)
-				continue
-			}
-			me.mets[l].Add(me.cc.Metrics(l))
-			me.vals[l] = me.ccl[l].Max
-		}
-	}
-	return me.vals[:len(sources)], me.mets[:len(sources)], laneFirstError(me.errs[:len(sources)])
-}
-
-// Close releases the three engines.
-func (me *MultiSkelEvalSession) Close() {
-	me.bf.Close()
-	me.relay.Close()
-	me.cc.Close()
 }

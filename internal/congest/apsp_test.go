@@ -76,19 +76,19 @@ func TestSkelOracleMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestSkelOracleLaneInitBitIdentical checks the lane-fused init path:
-// batching the skeleton relaxations through MultiSession must leave
-// InitRounds and every Evaluation bit-identical to the solo init.
+// TestSkelOracleLaneInitBitIdentical checks that NewSkelOracle ignores its
+// lanes argument: any value leaves InitRounds and every Evaluation
+// bit-identical to lanes = 1.
 func TestSkelOracleLaneInitBitIdentical(t *testing.T) {
 	g := weightedTestGraph(t, 20, 7)
 	_, _, solo := skelFixture(t, g, 3, 1)
-	for _, lanes := range []int{2, 8, 64} { // 64 > |S| exercises the clamp+pad path
-		_, _, fused := skelFixture(t, g, 3, lanes)
-		if fused.InitRounds != solo.InitRounds {
-			t.Fatalf("lanes %d: InitRounds %d, want solo %d", lanes, fused.InitRounds, solo.InitRounds)
+	for _, lanes := range []int{0, 2, 64} {
+		_, _, other := skelFixture(t, g, 3, lanes)
+		if other.InitRounds != solo.InitRounds {
+			t.Fatalf("lanes %d: InitRounds %d, want %d", lanes, other.InitRounds, solo.InitRounds)
 		}
 		se := solo.NewEvalSession(WithStrictAccounting())
-		fe := fused.NewEvalSession(WithStrictAccounting())
+		fe := other.NewEvalSession(WithStrictAccounting())
 		for src := 0; src < g.N(); src += 7 {
 			a, am, err := se.Eval(src, nil)
 			if err != nil {
@@ -99,55 +99,11 @@ func TestSkelOracleLaneInitBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if a != b || am != bm {
-				t.Fatalf("lanes %d src %d: fused (%d, %+v) != solo (%d, %+v)", lanes, src, b, bm, a, am)
+				t.Fatalf("lanes %d src %d: (%d, %+v) != lanes 1 (%d, %+v)", lanes, src, b, bm, a, am)
 			}
 		}
 		se.Close()
 		fe.Close()
-	}
-}
-
-// TestMultiSkelEvalMatchesSolo checks that every lane of the fused
-// evaluation session is bit-identical — eccentricity, distance row, and
-// Metrics — to a solo SkelEvalSession Eval.
-func TestMultiSkelEvalMatchesSolo(t *testing.T) {
-	g := weightedTestGraph(t, 18, 11)
-	_, _, o := skelFixture(t, g, 2, 1)
-	solo := o.NewEvalSession(WithStrictAccounting())
-	defer solo.Close()
-	for _, lanes := range []int{2, 5} {
-		me := o.NewMultiEvalSession(lanes, WithStrictAccounting())
-		rows := make([][]int, lanes)
-		for l := range rows {
-			rows[l] = make([]int, g.N())
-		}
-		soloRow := make([]int, g.N())
-		for base := 0; base+lanes <= g.N(); base += lanes {
-			sources := make([]int, lanes)
-			for l := range sources {
-				sources[l] = base + l
-			}
-			vals, mets, err := me.EvalBatch(sources, rows)
-			if err != nil {
-				t.Fatalf("lanes %d batch at %d: %v", lanes, base, err)
-			}
-			for l, src := range sources {
-				want, wm, err := solo.Eval(src, soloRow)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if vals[l] != want || mets[l] != wm {
-					t.Fatalf("lanes %d src %d: lane (%d, %+v) != solo (%d, %+v)",
-						lanes, src, vals[l], mets[l], want, wm)
-				}
-				for v := range soloRow {
-					if rows[l][v] != soloRow[v] {
-						t.Fatalf("lanes %d src %d: row[%d] = %d, want %d", lanes, src, v, rows[l][v], soloRow[v])
-					}
-				}
-			}
-		}
-		me.Close()
 	}
 }
 

@@ -28,7 +28,7 @@
 // # Execution engine
 //
 // Run executes each half-round on a pool of worker goroutines (see
-// WithWorkers): worker w owns every vertex v with v ≡ w (mod k), runs the
+// WithWorkers): worker w owns a contiguous shard of the vertices, runs the
 // Send half for its vertices with a private Outbox (arena, edge-bit ledger
 // and metrics shard) and private per-receiver message buffers, and after
 // the round barrier runs the Receive half for its vertices on inboxes
@@ -39,15 +39,15 @@
 // worker count, including the k=1 serial execution. Encoded messages live
 // in recycled per-worker arenas, so steady-state rounds allocate nothing.
 //
-// By default rounds are frontier-scheduled (see WithScheduler and
-// scheduler.go): only vertices that received a message last round,
-// self-scheduled a wake (the Scheduled contract), or lack the contract
-// entirely are executed, with worker shards iterating the sorted frontier
-// — bit-identical to dense execution, but wall-clock scales with the
-// algorithm's total work instead of n·rounds. The adjacency the engine
-// runs on is a packed CSR core built once per Topology (flat offset/arena
-// arrays; Env.Neighbors slices are views into the arena, and the
-// per-message destination check is a binary search on the packed row).
+// Rounds are frontier-scheduled (see scheduler.go): only vertices that
+// received a message last round, self-scheduled a wake (the Scheduled
+// contract), or lack the contract entirely are executed, with each worker
+// iterating its contiguous shard of the frontier bitset — bit-identical to
+// RunReference, which executes every vertex every round, but wall-clock
+// scales with the algorithm's total work instead of n·rounds. The adjacency
+// the engine runs on is a packed CSR core built once per Topology (flat
+// offset/arena arrays; Env.Neighbors slices are views into the arena, and
+// the per-message destination check is a binary search on the packed row).
 // DESIGN.md ("Execution engine", "Scheduler", "Wire format") documents the
 // concurrency model, the determinism argument and the message encodings in
 // full.
@@ -538,11 +538,11 @@ type Metrics struct {
 	MaxInboxSize int // max messages delivered to one node in one round
 
 	// DroppedRounds counts rounds in which nothing was sent (idle rounds).
-	// The invariant is scheduler-independent: the frontier scheduler skips
-	// an all-idle round without executing any vertex, but accounts it here
-	// — and advances Rounds over it — exactly as if the dense engine had
-	// executed it empty, so Metrics compare bit-for-bit across
-	// WithScheduler settings (asserted by the DroppedRounds table test).
+	// The frontier scheduler skips an all-idle round without executing any
+	// vertex, but accounts it here — and advances Rounds over it — exactly
+	// as RunReference does when it executes the round empty, so Metrics
+	// compare bit-for-bit between the two (asserted by the DroppedRounds
+	// table test).
 	DroppedRounds int
 }
 
@@ -580,8 +580,7 @@ type Network struct {
 	topo      *Topology
 	nodes     []Node
 	bandwidth int
-	workers   int       // configured worker count; <= 0 selects the automatic rule
-	sched     Scheduler // round-execution strategy (default SchedulerFrontier)
+	workers   int // configured worker count; <= 0 selects the automatic rule
 	strict    bool
 	metrics   Metrics
 	observer  Observer
@@ -688,25 +687,9 @@ func (nw *Network) Metrics() Metrics { return nw.metrics }
 // Bandwidth returns the per-edge per-round bit budget in force.
 func (nw *Network) Bandwidth() int { return nw.bandwidth }
 
-// EffectiveScheduler reports the strategy Run will use: the configured
-// scheduler, demoted to SchedulerDense when no program implements the
-// Scheduled contract (the frontier would then execute every vertex every
-// round anyway; the dense path does the same with less bookkeeping).
-func (nw *Network) EffectiveScheduler() Scheduler {
-	if nw.sched != SchedulerFrontier {
-		return nw.sched
-	}
-	for _, nd := range nw.nodes {
-		if _, ok := nd.(Scheduled); ok {
-			return SchedulerFrontier
-		}
-	}
-	return SchedulerDense
-}
-
 // minVerticesPerWorker is the smallest half-round the engines dispatch to
 // their workers: below that, the barrier costs more than the work, so tiny
-// frontiers run inline on the coordinator (see runPhaseF).
+// frontiers run inline on the coordinator (see runPhase).
 const minVerticesPerWorker = 64
 
 // shardVertices is the vertex span of one frontier shard unit: a shard
@@ -750,13 +733,11 @@ func autoWorkers(n, procs int) int {
 	return (nwords + wps - 1) / wps
 }
 
-// phase identifiers for the worker loop (the F variants are the frontier
-// scheduler's half-rounds, see scheduler.go).
+// phase identifiers for the worker loop: the two half-rounds of a frontier
+// round (see scheduler.go).
 const (
 	phaseSend = iota
 	phaseRecv
-	phaseSendF
-	phaseRecvF
 )
 
 // workerState is one worker's private slice of the engine state. Round
@@ -774,7 +755,6 @@ type workerState struct {
 	// Receive-half accumulators.
 	maxStateBits int
 	maxInboxSize int
-	shardDone    bool
 
 	heads []int32   // chain-merge cursors, one per worker
 	inbox []Inbound // reusable materialized inbox (one vertex at a time)
@@ -783,7 +763,7 @@ type workerState struct {
 // engine holds the per-run execution state of Run.
 type engine struct {
 	nw    *Network
-	n, k  int
+	k     int
 	round int
 	empty bool // the current round's send half produced no messages
 
@@ -791,7 +771,7 @@ type engine struct {
 	outs [][]stagedMsg // per-sender emissions, kept only for the observer
 	ws   []workerState
 
-	fr *frontierState // frontier scheduler state; nil on the dense path
+	fr *frontierState // frontier scheduler state
 
 	phase []chan int // per-worker phase mailbox (k > 1 only)
 	wg    sync.WaitGroup
@@ -799,7 +779,7 @@ type engine struct {
 
 func newEngine(nw *Network) *engine {
 	n := nw.topo.n
-	e := &engine{nw: nw, n: n, k: nw.EffectiveWorkers()}
+	e := &engine{nw: nw, k: nw.EffectiveWorkers()}
 	e.obs = make([]*Outbox, e.k)
 	e.ws = make([]workerState, e.k)
 	for w := 0; w < e.k; w++ {
@@ -811,20 +791,15 @@ func newEngine(nw *Network) *engine {
 	if nw.observer != nil {
 		e.outs = make([][]stagedMsg, n)
 	}
-	if nw.sched == SchedulerFrontier {
-		var always []int32
-		for v, nd := range nw.nodes {
-			if _, ok := nd.(Scheduled); !ok {
-				always = append(always, int32(v))
-			}
-		}
-		// A network whose programs all lack the contract would execute
-		// every vertex every round through the frontier machinery; run the
-		// leaner dense path instead — the semantics are identical anyway.
-		if len(always) < n {
-			e.fr = newFrontierState(n, e.k, always, nw.nodes)
+	// Programs without the Scheduled contract are always on: a network of
+	// only such programs executes every vertex every round.
+	var always []int32
+	for v, nd := range nw.nodes {
+		if _, ok := nd.(Scheduled); !ok {
+			always = append(always, int32(v))
 		}
 	}
+	e.fr = newFrontierState(n, e.k, always, nw.nodes)
 	if e.k > 1 {
 		e.phase = make([]chan int, e.k)
 		for w := 0; w < e.k; w++ {
@@ -847,15 +822,10 @@ func (e *engine) envAt(w, v int) *Env {
 }
 
 func (e *engine) dispatch(w, ph int) {
-	switch ph {
-	case phaseSend:
+	if ph == phaseSend {
 		e.sendShard(w)
-	case phaseRecv:
+	} else {
 		e.recvShard(w)
-	case phaseSendF:
-		e.sendShardF(w)
-	case phaseRecvF:
-		e.recvShardF(w)
 	}
 }
 
@@ -866,60 +836,21 @@ func (e *engine) worker(w int) {
 	}
 }
 
-// runPhase executes one half-round on every worker and waits for the
-// barrier. The channel send/Wait pair orders each worker's reads of the
-// fields the coordinator wrote (round, empty) and of the other workers'
-// buffers from the previous phase.
-func (e *engine) runPhase(ph int) {
-	if e.k == 1 {
-		e.dispatch(0, ph)
-		return
-	}
-	e.wg.Add(e.k)
-	for _, ch := range e.phase {
-		ch <- ph
-	}
-	e.wg.Wait()
-}
-
 func (e *engine) stop() {
 	for _, ch := range e.phase {
 		close(ch)
 	}
 }
 
-// sendShard runs the Send half for every vertex of worker w (v ≡ w mod k).
-// All writes go to worker-private state: the worker's receive buffers and
-// its Outbox (arena, ledger, metrics shard). Validation stops at the
-// shard's first offending message; since an offense depends only on its own
-// sender's emissions, the shard-first error at the smallest sender id is
-// exactly the error a serial execution reports.
-func (e *engine) sendShard(w int) {
-	nw := e.nw
-	ob := e.ws[w].outbox
-
-	// beginRound recycles the previous round's delivery buffers (the
-	// barrier guarantees every reader is done with them) and the arena.
-	ob.beginRound(e.round)
-	for v := w; v < e.n; v += e.k {
-		ob.begin(v)
-		nw.nodes[v].Send(e.envAt(w, v), ob)
-		if e.outs != nil {
-			e.outs[v] = append(e.outs[v][:0], ob.msgs...)
-		}
-		if ob.err != nil {
-			break
-		}
-	}
-}
-
 // finishSend merges the send half at the round barrier: it picks the
 // canonical error (the one at the smallest sender id — what a serial
 // execution hits first), folds the worker metric shards into the run
-// metrics, and replays the observer in canonical order. On the frontier
-// path the replay iterates the frontier bitset, ascending — only those
-// vertices ran the send half (their e.outs entries are current; everything
-// else is stale from earlier rounds).
+// metrics, and replays the observer in canonical order. The replay iterates
+// the frontier bitset, ascending — only those vertices ran the send half
+// (their e.outs entries are current; everything else is stale from earlier
+// rounds). Validation stops at a shard's first offending message; since an
+// offense depends only on its own sender's emissions, the error at the
+// smallest sender id is exactly the error a serial execution reports.
 func (e *engine) finishSend() error {
 	errW := -1
 	var sent, bitsTotal, maxEdge int
@@ -948,133 +879,25 @@ func (e *engine) finishSend() error {
 		m.DroppedRounds++
 	}
 	if obs := e.nw.observer; obs != nil {
-		if e.fr == nil {
-			for v := 0; v < e.n; v++ {
-				for i := range e.outs[v] {
-					r := &e.outs[v][i]
-					obs(e.round, v, r.to, r.bits, r.wire)
-				}
-			}
-		} else {
-			cur := e.fr.cur
-			for si := range cur.sum {
-				sw := cur.sum[si]
-				for sw != 0 {
-					wi := si<<6 + bits.TrailingZeros64(sw)
-					sw &= sw - 1
-					word := cur.words[wi]
-					for word != 0 {
-						v := wi<<6 + bits.TrailingZeros64(word)
-						word &= word - 1
-						for i := range e.outs[v] {
-							r := &e.outs[v][i]
-							obs(e.round, v, r.to, r.bits, r.wire)
-						}
+		cur := e.fr.cur
+		for si := range cur.sum {
+			sw := cur.sum[si]
+			for sw != 0 {
+				wi := si<<6 + bits.TrailingZeros64(sw)
+				sw &= sw - 1
+				word := cur.words[wi]
+				for word != 0 {
+					v := wi<<6 + bits.TrailingZeros64(word)
+					word &= word - 1
+					for i := range e.outs[v] {
+						r := &e.outs[v][i]
+						obs(e.round, v, r.to, r.bits, r.wire)
 					}
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// recvShard runs the Receive half for every vertex of worker w. Each inbox
-// is materialized from the workers' staged chains into the worker's scratch
-// by gatherChains, which reproduces the canonical delivery order —
-// ascending sender, emission order within a sender — for every worker
-// count. Vertices execute one at a time per worker and Receive must not
-// retain the inbox, so one reusable scratch per worker suffices.
-func (e *engine) recvShard(w int) {
-	nw := e.nw
-	st := &e.ws[w]
-	var maxState, maxInbox int
-	allDone := true
-	for v := w; v < e.n; v += e.k {
-		inbox := st.inbox[:0]
-		if !e.empty {
-			inbox = gatherChains(e.obs, st.heads, v, inbox)
-			st.inbox = inbox
-		}
-		if len(inbox) > maxInbox {
-			maxInbox = len(inbox)
-		}
-		nd := nw.nodes[v]
-		nd.Receive(e.envAt(w, v), inbox)
-		if s, ok := nd.(StateSizer); ok {
-			if b := s.StateBits(); b > maxState {
-				maxState = b
-			}
-		}
-		if allDone && !nd.Done() {
-			allDone = false
-		}
-	}
-	st.maxStateBits = maxState
-	st.maxInboxSize = maxInbox
-	st.shardDone = allDone
-}
-
-// finishRecv merges the receive half and reports whether every node is Done.
-func (e *engine) finishRecv() bool {
-	m := &e.nw.metrics
-	allDone := true
-	for w := range e.ws {
-		st := &e.ws[w]
-		if st.maxStateBits > m.MaxStateBits {
-			m.MaxStateBits = st.maxStateBits
-		}
-		if st.maxInboxSize > m.MaxInboxSize {
-			m.MaxInboxSize = st.maxInboxSize
-		}
-		if !st.shardDone {
-			allDone = false
-		}
-	}
-	return allDone
-}
-
-// execute runs one full execution on the engine: rounds until every node is
-// Done, or an error after maxRounds. It touches only state that beginRound
-// and the round barriers recycle, so a persistent engine (Session) can call
-// it repeatedly — after the node programs are Reset — and every execution
-// is bit-for-bit identical to a run on a freshly built engine.
-//
-// The body below is the dense strategy (every vertex, every round); with
-// the frontier scheduler selected (the default, when at least one program
-// implements the Scheduled contract) execution is delegated to
-// executeFrontier, which is bit-identical by construction (scheduler.go).
-func (e *engine) execute(maxRounds int) error {
-	if e.fr != nil {
-		return e.executeFrontier(maxRounds)
-	}
-	nw := e.nw
-	if nw.observer != nil {
-		nw.observer(0, -1, -1, 0, WireView{}) // run boundary
-	}
-	allDone := true
-	for _, nd := range nw.nodes {
-		if !nd.Done() {
-			allDone = false
-			break
-		}
-	}
-	for round := 1; ; round++ {
-		if allDone {
-			return nil
-		}
-		if round > maxRounds {
-			return fmt.Errorf("congest: no quiescence after %d rounds", maxRounds)
-		}
-		nw.metrics.Rounds = round
-		e.round = round
-
-		e.runPhase(phaseSend)
-		if err := e.finishSend(); err != nil {
-			return err
-		}
-		e.runPhase(phaseRecv)
-		allDone = e.finishRecv()
-	}
 }
 
 // Run executes rounds until every node is Done, or fails after maxRounds.

@@ -24,9 +24,9 @@ type bfsSnapshot struct {
 	Ecc          int
 }
 
-func runBFS(t *testing.T, g *graph.Graph, root int, run func(*Network, int) error, opts ...Option) ([]bfsSnapshot, Metrics) {
+func runBFS(t *testing.T, g *graph.Graph, root int, run func(*Network, int) error, m engineConfig) ([]bfsSnapshot, Metrics) {
 	t.Helper()
-	nw, err := NewNetwork(g, func(v int) Node { return NewBFSNode(root) }, opts...)
+	nw, err := NewNetwork(g, m.program(func(v int) Node { return NewBFSNode(root) }), WithWorkers(m.workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func runBFS(t *testing.T, g *graph.Graph, root int, run func(*Network, int) erro
 	}
 	out := make([]bfsSnapshot, g.N())
 	for v := 0; v < g.N(); v++ {
-		b := nw.Node(v).(*BFSNode)
+		b := unwrapNode(nw.Node(v)).(*BFSNode)
 		out[v] = bfsSnapshot{Dist: b.Dist, Parent: b.Parent, Children: b.Children, Ecc: b.Ecc}
 	}
 	return out, nw.Metrics()
@@ -44,9 +44,9 @@ func runBFS(t *testing.T, g *graph.Graph, root int, run func(*Network, int) erro
 func TestEngineDeterministicBFS(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		g := graph.RandomConnected(300, 0.02, seed)
-		wantOut, wantM := runBFS(t, g, 0, (*Network).RunReference)
+		wantOut, wantM := runBFS(t, g, 0, (*Network).RunReference, engineConfig{workers: 1})
 		for _, k := range engineWorkerCounts {
-			gotOut, gotM := runBFS(t, g, 0, (*Network).Run, WithWorkers(k))
+			gotOut, gotM := runBFS(t, g, 0, (*Network).Run, engineConfig{workers: k})
 			if !reflect.DeepEqual(gotOut, wantOut) {
 				t.Errorf("seed %d workers %d: BFS outputs differ from reference", seed, k)
 			}
@@ -151,6 +151,7 @@ func (h *duelingHogNode) Send(env *Env, out *Outbox) {
 }
 func (h *duelingHogNode) Receive(env *Env, inbox []Inbound) {}
 func (h *duelingHogNode) Done() bool                        { return false }
+func (h *duelingHogNode) ResetNode(int, any)                {}
 
 func TestEngineDeterministicErrors(t *testing.T) {
 	g := graph.RandomConnected(64, 0.1, 3)

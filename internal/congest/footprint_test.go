@@ -18,17 +18,15 @@ import (
 	"qcongest/internal/graph"
 )
 
-// footprintMatrix is the scheduler × workers grid of the footprint tests.
-var footprintMatrix = []struct {
-	name string
-	opts []Option
-}{
-	{"dense/w1", []Option{WithScheduler(SchedulerDense), WithWorkers(1)}},
-	{"dense/w2", []Option{WithScheduler(SchedulerDense), WithWorkers(2)}},
-	{"dense/w3", []Option{WithScheduler(SchedulerDense), WithWorkers(3)}},
-	{"frontier/w1", []Option{WithScheduler(SchedulerFrontier), WithWorkers(1)}},
-	{"frontier/w2", []Option{WithScheduler(SchedulerFrontier), WithWorkers(2)}},
-	{"frontier/w3", []Option{WithScheduler(SchedulerFrontier), WithWorkers(3)}},
+// footprintMatrix is the contract × workers grid of the footprint tests
+// (see engineConfig; the dense rows run every program always on).
+var footprintMatrix = []engineConfig{
+	{"dense/w1", 1, true},
+	{"dense/w2", 2, true},
+	{"dense/w3", 3, true},
+	{"frontier/w1", 1, false},
+	{"frontier/w2", 2, false},
+	{"frontier/w3", 3, false},
 }
 
 // bfsStateBitsBound is the MaxStateBits a finished BFS run must report:
@@ -45,7 +43,7 @@ func bfsStateBitsBound(snap []bfsSnapshot) int {
 
 // TestBFSConvergecastIdentity runs the BFS convergecast on a grid, a path,
 // a random graph and a star whose hub has degree 1200 (every leaf reports
-// to it), over the scheduler × workers matrix and as a re-rooted Session,
+// to it), over the contract × workers matrix and as a re-rooted Session,
 // and compares every output and the full Metrics with RunReference. The
 // star pins the report counter at a high fan-in, and MaxStateBits is
 // checked against the state formula independently of either engine.
@@ -62,7 +60,7 @@ func TestBFSConvergecastIdentity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, wantM := runBFS(t, c.g, c.root, (*Network).RunReference)
+			want, wantM := runBFS(t, c.g, c.root, (*Network).RunReference, engineConfig{workers: 1})
 			if ecc, err := c.g.Eccentricity(c.root); err != nil || want[c.root].Ecc != ecc {
 				t.Fatalf("reference ecc(root) = %d, want %d (%v)", want[c.root].Ecc, ecc, err)
 			}
@@ -70,7 +68,7 @@ func TestBFSConvergecastIdentity(t *testing.T) {
 				t.Errorf("reference MaxStateBits = %d, want %d", wantM.MaxStateBits, b)
 			}
 			for _, m := range footprintMatrix {
-				got, gotM := runBFS(t, c.g, c.root, (*Network).Run, m.opts...)
+				got, gotM := runBFS(t, c.g, c.root, (*Network).Run, m)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: BFS outputs differ from RunReference", m.name)
 				}
@@ -96,7 +94,7 @@ func TestBFSConvergecastIdentity(t *testing.T) {
 			if err := sess.Run(8*g.N() + 16); err != nil {
 				t.Fatal(err)
 			}
-			want, wantM := runBFS(t, g, root, (*Network).RunReference)
+			want, wantM := runBFS(t, g, root, (*Network).RunReference, engineConfig{workers: 1})
 			for v := range want {
 				b := sess.Node(v).(*BFSNode)
 				if got := (bfsSnapshot{b.Dist, b.Parent, b.Children, b.Ecc}); !reflect.DeepEqual(got, want[v]) {
@@ -240,9 +238,10 @@ func (p *envProbe) NextWake(env *Env, round int) int {
 
 // TestEnvPerCallContract checks, on a graph spanning three frontier
 // shards, that every Send, Receive and NextWake call sees the Env of its
-// own vertex and the current round, for every worker count on both
-// schedulers. Run under -race it also proves the per-worker Envs (and
-// their decode scratch) are never shared between workers.
+// own vertex and the current round, for every worker count, with the
+// probes scheduled and always on. Run under -race it also proves the
+// per-worker Envs (and their decode scratch) are never shared between
+// workers.
 func TestEnvPerCallContract(t *testing.T) {
 	const side, last = 110, 5 // 12100 vertices: three 64-word shards at w3
 	topo, err := NewTopology(graph.Grid(side, side))
@@ -255,9 +254,9 @@ func TestEnvPerCallContract(t *testing.T) {
 	}
 	for _, m := range footprintMatrix {
 		t.Run(m.name, func(t *testing.T) {
-			nw := NewNetworkOn(topo, func(v int) Node {
+			nw := NewNetworkOn(topo, m.program(func(v int) Node {
 				return &envProbe{id: v, row: topo.Neighbors(v), n: n, eager: v%2 == 0, last: last}
-			}, m.opts...)
+			}), WithWorkers(m.workers))
 			if err := nw.Run(last + 4); err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +265,7 @@ func TestEnvPerCallContract(t *testing.T) {
 			}
 			var bad []string
 			for v := 0; v < n; v++ {
-				p := nw.Node(v).(*envProbe)
+				p := unwrapNode(nw.Node(v)).(*envProbe)
 				if p.violation != "" {
 					bad = append(bad, fmt.Sprintf("vertex %d: %s", v, p.violation))
 				}
@@ -403,16 +402,16 @@ func TestPortLedger(t *testing.T) {
 
 		// End to end: the max-id flood crosses the hub, and every engine
 		// configuration matches RunReference.
-		run := func(exec func(*Network, int) error, opts ...Option) Metrics {
-			nw := NewNetworkOn(topo, func(int) Node { return NewLeaderElectNode() }, opts...)
+		run := func(exec func(*Network, int) error, m engineConfig) Metrics {
+			nw := NewNetworkOn(topo, m.program(func(int) Node { return NewLeaderElectNode() }), WithWorkers(m.workers))
 			if err := exec(nw, 2*n); err != nil {
 				t.Fatal(err)
 			}
 			return nw.Metrics()
 		}
-		want := run((*Network).RunReference)
+		want := run((*Network).RunReference, engineConfig{workers: 1})
 		for _, m := range footprintMatrix {
-			if got := run((*Network).Run, m.opts...); got != want {
+			if got := run((*Network).Run, m); got != want {
 				t.Errorf("%s: Metrics = %+v, want %+v", m.name, got, want)
 			}
 		}

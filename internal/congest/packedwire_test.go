@@ -316,3 +316,40 @@ func TestRegisterKindWidthTable(t *testing.T) {
 		}
 	}
 }
+
+// TestPackWireRefusesOutOfRange: a field outside its declared range makes
+// PackWire refuse, so the engine falls back to the generic encoder, which
+// rejects the message with the canonical range error.
+func TestPackWireRefusesOutOfRange(t *testing.T) {
+	const n = 16
+	b := 4 * n
+	for _, m := range []WireMessage{
+		&msgActivate{Dist: -1},
+		&msgActivate{Dist: n},
+		&msgEccReport{Max: n},
+		&msgToken{Step: 4*n + 1},
+		&msgWave{Tau: 4*n + 1},
+		&msgMax{Value: 0, Witness: n},
+		&msgBcast{Value: -1},
+		&msgNear{Dist: 2 * n},
+		&msgSum{Sum: -1},
+		&msgPair{Src: n},
+		&msgSrcMax{Src: 0, Max: 2 * n},
+		&msgAdj{ID: n},
+		&msgCutSum{Sum: b + 1, Bound: b},
+		&msgWDist{Dist: b + 1, Bound: b},
+		&msgWMax{Value: 0, Witness: n, Bound: b},
+		&msgSkelUp{Slot: n, Slots: n, Bound: b},
+		&msgSkelDown{Val: b + 2, Slots: n, Bound: b},
+	} {
+		if _, _, ok := m.(PackedWire).PackWire(n); ok {
+			t.Errorf("%v %+v: PackWire accepted an out-of-range field", m.WireKind(), m)
+		}
+		var w Writer
+		w.Reset(n)
+		m.MarshalWire(&w)
+		if w.Err() == nil {
+			t.Errorf("%v %+v: generic encoder accepted an out-of-range field", m.WireKind(), m)
+		}
+	}
+}

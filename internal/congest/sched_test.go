@@ -12,21 +12,58 @@ import (
 
 // The frontier scheduler's contract: for every program in the suite, every
 // worker count and fresh-vs-session execution, the frontier engine is
-// bit-identical to the dense engine and to RunReference — outputs, Metrics,
-// and complete observer wire traces. These tests sweep that whole matrix.
+// bit-identical to RunReference — outputs, Metrics, and complete observer
+// wire traces. These tests sweep that whole matrix.
 
-// schedMatrix is the scheduler × workers grid every equivalence assertion
+// engineConfig is one row of an engine equivalence matrix: a worker count,
+// and whether every program runs with its Scheduled contract hidden.
+type engineConfig struct {
+	name    string
+	workers int
+	// dense wraps every program in alwaysOn, so the frontier engine
+	// executes every vertex every round — the execution RunReference
+	// performs, reached through the always-on path of the frontier.
+	dense bool
+}
+
+// program returns make, wrapped in alwaysOn on a dense row.
+func (c engineConfig) program(make func(v int) Node) func(v int) Node {
+	if !c.dense {
+		return make
+	}
+	return func(v int) Node { return alwaysOn{make(v)} }
+}
+
+// alwaysOn hides a program's Scheduled contract while keeping its optional
+// StateSizer and Resettable halves.
+type alwaysOn struct{ Node }
+
+func (a alwaysOn) StateBits() int {
+	if s, ok := a.Node.(StateSizer); ok {
+		return s.StateBits()
+	}
+	return 0
+}
+
+func (a alwaysOn) ResetNode(v int, params any) { a.Node.(Resettable).ResetNode(v, params) }
+
+// unwrapNode returns the program behind an alwaysOn wrapper.
+func unwrapNode(nd Node) Node {
+	if a, ok := nd.(alwaysOn); ok {
+		return a.Node
+	}
+	return nd
+}
+
+// schedMatrix is the contract × workers grid every equivalence assertion
 // runs over.
-var schedMatrix = []struct {
-	name string
-	opts []Option
-}{
-	{"dense/w1", []Option{WithScheduler(SchedulerDense), WithWorkers(1)}},
-	{"dense/w2", []Option{WithScheduler(SchedulerDense), WithWorkers(2)}},
-	{"dense/w8", []Option{WithScheduler(SchedulerDense), WithWorkers(8)}},
-	{"frontier/w1", []Option{WithScheduler(SchedulerFrontier), WithWorkers(1)}},
-	{"frontier/w2", []Option{WithScheduler(SchedulerFrontier), WithWorkers(2)}},
-	{"frontier/w8", []Option{WithScheduler(SchedulerFrontier), WithWorkers(8)}},
+var schedMatrix = []engineConfig{
+	{"dense/w1", 1, true},
+	{"dense/w2", 2, true},
+	{"dense/w8", 8, true},
+	{"frontier/w1", 1, false},
+	{"frontier/w2", 2, false},
+	{"frontier/w8", 8, false},
 }
 
 // schedCase is one program workload: a node family over a topology with an
@@ -46,18 +83,19 @@ type schedCapture struct {
 	Trace   []string
 }
 
-func runSchedCase(t *testing.T, c schedCase, run func(*Network, int) error, opts ...Option) schedCapture {
+func runSchedCase(t *testing.T, c schedCase, run func(*Network, int) error, m engineConfig) schedCapture {
 	t.Helper()
 	var trace []string
-	nw := NewNetworkOn(c.topo, c.make, append([]Option{WithObserver(recordObs(&trace))}, opts...)...)
+	nw := NewNetworkOn(c.topo, m.program(c.make), WithObserver(recordObs(&trace)), WithWorkers(m.workers))
 	if err := run(nw, c.maxRounds); err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	return schedCapture{Out: c.fingerprint(nw.Node, c.topo.N()), Metrics: nw.Metrics(), Trace: trace}
+	at := func(v int) Node { return unwrapNode(nw.Node(v)) }
+	return schedCapture{Out: c.fingerprint(at, c.topo.N()), Metrics: nw.Metrics(), Trace: trace}
 }
 
 // TestSchedulerEquivalenceSuite sweeps every node program of the suite over
-// the scheduler × workers matrix, fresh and session-reused, against a
+// the contract × workers matrix, fresh and session-reused, against a
 // RunReference baseline.
 func TestSchedulerEquivalenceSuite(t *testing.T) {
 	g := graph.RandomConnected(150, 0.03, 4)
@@ -66,14 +104,14 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := []Option{WithScheduler(SchedulerDense), WithWorkers(1)}
+	base := []Option{WithWorkers(1)}
 	info, _, err := PreprocessOn(topo, base...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := info.D
 
-	// Scaffolding inputs computed once on the dense oracle.
+	// Scaffolding inputs computed once on the serial engine.
 	tourLen := 2 * (n - 1)
 	tau, _, err := TokenWalkOn(topo, info, info.Children, info.Leader, tourLen, base...)
 	if err != nil {
@@ -281,9 +319,9 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		want := runSchedCase(t, c, (*Network).RunReference)
+		want := runSchedCase(t, c, (*Network).RunReference, engineConfig{workers: 1})
 		for _, m := range schedMatrix {
-			got := runSchedCase(t, c, (*Network).Run, m.opts...)
+			got := runSchedCase(t, c, (*Network).Run, m)
 			if got.Out != want.Out {
 				t.Errorf("%s [%s]: outputs differ from RunReference", c.name, m.name)
 			}
@@ -298,7 +336,8 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 			// Session dimension: build once, Reset+Run twice; both
 			// executions must match the reference bit for bit.
 			var trace []string
-			sess := NewSession(c.topo, c.make, append([]Option{WithObserver(recordObs(&trace))}, m.opts...)...)
+			sess := NewSession(c.topo, m.program(c.make), WithObserver(recordObs(&trace)), WithWorkers(m.workers))
+			at := func(v int) Node { return unwrapNode(sess.Node(v)) }
 			for rerun := 0; rerun < 2; rerun++ {
 				trace = trace[:0]
 				if err := sess.Reset(nil); err != nil {
@@ -307,7 +346,7 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 				if err := sess.Run(c.maxRounds); err != nil {
 					t.Fatalf("%s [%s] rerun %d: %v", c.name, m.name, rerun, err)
 				}
-				if out := c.fingerprint(sess.Node, c.topo.N()); out != want.Out {
+				if out := c.fingerprint(at, c.topo.N()); out != want.Out {
 					t.Errorf("%s [%s] session rerun %d: outputs differ from RunReference", c.name, m.name, rerun)
 				}
 				if sess.Metrics() != want.Metrics {
@@ -325,44 +364,68 @@ func TestSchedulerEquivalenceSuite(t *testing.T) {
 
 // TestSchedulerEquivalenceComposites runs the composed classical algorithms
 // — every phase of the Figure 2 / Figure 3 pipelines back to back — over
-// the scheduler matrix.
+// the worker counts, and checks each result against the sequential graph
+// oracles. The composites build their networks internally, so the baseline
+// is the serial engine; the Suite above holds every phase program to
+// RunReference individually.
 func TestSchedulerEquivalenceComposites(t *testing.T) {
 	g := graph.RandomConnected(120, 0.04, 8)
 	gw := graph.WithWeights(g, 6, 8)
+	diam, err := g.Diameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wdiam, err := gw.WeightedDiameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eccs := make([]int, g.N())
+	for v := range eccs {
+		if eccs[v], err = g.Eccentricity(v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	type comp struct {
 		name string
 		run  func(opts ...Option) (string, error)
+		want string // the result's oracle-checked part
 	}
 	comps := []comp{
 		{"classical-exact", func(opts ...Option) (string, error) {
 			r, err := ClassicalExactDiameter(g, opts...)
-			return fmt.Sprintf("%+v", r), err
-		}},
+			return fmt.Sprintf("%d %+v", r.Diameter, r.Metrics), err
+		}, fmt.Sprintf("%d ", diam)},
 		{"classical-approx", func(opts ...Option) (string, error) {
 			r, err := ClassicalApproxDiameter(g, 0, 8, opts...)
+			if err == nil && (r.Diameter < 2*diam/3 || r.Diameter > diam) {
+				err = fmt.Errorf("estimate %d outside [2D/3, D] for D = %d", r.Diameter, diam)
+			}
 			return fmt.Sprintf("%+v", r), err
-		}},
+		}, ""},
 		{"classical-ecc", func(opts ...Option) (string, error) {
 			ecc, m, err := ClassicalEccentricities(g, opts...)
 			return fmt.Sprintf("%v %+v", ecc, m), err
-		}},
+		}, fmt.Sprintf("%v ", eccs)},
 		{"classical-weighted", func(opts ...Option) (string, error) {
 			r, err := ClassicalWeightedDiameter(gw, opts...)
-			return fmt.Sprintf("%+v", r), err
-		}},
+			return fmt.Sprintf("%d %+v", r.Diameter, r.Metrics), err
+		}, fmt.Sprintf("%d ", wdiam)},
 	}
 	for _, c := range comps {
-		want, err := c.run(WithScheduler(SchedulerDense), WithWorkers(1), WithStrictAccounting())
+		want, err := c.run(WithWorkers(1), WithStrictAccounting())
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		for _, m := range schedMatrix {
-			got, err := c.run(append([]Option{WithStrictAccounting()}, m.opts...)...)
+		if !strings.HasPrefix(want, c.want) {
+			t.Errorf("%s: serial result %s, oracle says %s", c.name, want, c.want)
+		}
+		for _, workers := range []int{2, 8} {
+			got, err := c.run(WithWorkers(workers), WithStrictAccounting())
 			if err != nil {
-				t.Fatalf("%s [%s]: %v", c.name, m.name, err)
+				t.Fatalf("%s [w%d]: %v", c.name, workers, err)
 			}
 			if got != want {
-				t.Errorf("%s [%s]:\n got %s\nwant %s", c.name, m.name, got, want)
+				t.Errorf("%s [w%d]:\n got %s\nwant %s", c.name, workers, got, want)
 			}
 		}
 	}
@@ -427,8 +490,9 @@ func (p *pulseNode) ResetNode(v int, params any) {
 
 // TestDroppedRoundsSchedulerInvariant is the Metrics.DroppedRounds table
 // test: an all-idle round that the frontier scheduler skips must account
-// identically to a dense empty round — same Rounds, same DroppedRounds,
-// same everything — including on timeout errors inside a gap.
+// identically to the empty round RunReference executes — same Rounds, same
+// DroppedRounds, same everything — including on timeout errors inside a
+// gap.
 func TestDroppedRoundsSchedulerInvariant(t *testing.T) {
 	g := graph.Path(40)
 	cases := []struct {
@@ -447,61 +511,80 @@ func TestDroppedRoundsSchedulerInvariant(t *testing.T) {
 		{"gap-to-timeout", []int{50}, 10, true, 10, 10, true, 0},
 	}
 	for _, tc := range cases {
-		runM := func(sched Scheduler, workers int) (Metrics, error) {
-			nw, err := NewNetwork(g, func(v int) Node { return &pulseNode{wakes: tc.wakes} },
-				WithScheduler(sched), WithWorkers(workers))
+		runM := func(run func(*Network, int) error, workers int) (Metrics, error) {
+			nw, err := NewNetwork(g, func(v int) Node { return &pulseNode{wakes: tc.wakes} }, WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
-			runErr := nw.Run(tc.maxRounds)
+			runErr := run(nw, tc.maxRounds)
 			return nw.Metrics(), runErr
 		}
-		wantM, wantErr := runM(SchedulerDense, 1)
+		wantM, wantErr := runM((*Network).RunReference, 1)
 		if (wantErr != nil) != tc.wantErr {
-			t.Fatalf("%s: dense err = %v, want error %v", tc.name, wantErr, tc.wantErr)
+			t.Fatalf("%s: reference err = %v, want error %v", tc.name, wantErr, tc.wantErr)
 		}
 		if wantM.Rounds != tc.wantRounds || wantM.DroppedRounds != tc.wantDropped {
-			t.Fatalf("%s: dense Rounds/Dropped = %d/%d, want %d/%d",
+			t.Fatalf("%s: reference Rounds/Dropped = %d/%d, want %d/%d",
 				tc.name, wantM.Rounds, wantM.DroppedRounds, tc.wantRounds, tc.wantDropped)
 		}
 		if want := tc.wantDelivered * len(g.Neighbors(0)); wantM.Messages != want {
-			t.Fatalf("%s: dense Messages = %d, want %d", tc.name, wantM.Messages, want)
+			t.Fatalf("%s: reference Messages = %d, want %d", tc.name, wantM.Messages, want)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			gotM, gotErr := runM(SchedulerFrontier, workers)
+			gotM, gotErr := runM((*Network).Run, workers)
 			if (gotErr == nil) != (wantErr == nil) ||
 				(gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Errorf("%s workers %d: frontier err %v, dense err %v", tc.name, workers, gotErr, wantErr)
+				t.Errorf("%s workers %d: frontier err %v, reference err %v", tc.name, workers, gotErr, wantErr)
 			}
 			if gotM != wantM {
-				t.Errorf("%s workers %d: frontier Metrics = %+v, dense %+v", tc.name, workers, gotM, wantM)
+				t.Errorf("%s workers %d: frontier Metrics = %+v, reference %+v", tc.name, workers, gotM, wantM)
 			}
 		}
 	}
 }
 
-// TestEffectiveSchedulerFallback: a network whose programs lack the
-// Scheduled contract must run the dense path even under the (default)
-// frontier setting — the conservative always-active default — while the
-// shipped programs engage the frontier.
-func TestEffectiveSchedulerFallback(t *testing.T) {
-	g := graph.Path(16)
-	legacy, err := NewNetwork(g, func(v int) Node { return &duelingHogNode{threshold: 1 << 30} })
+// TestContractlessNetworkMatchesReference: a network whose programs all
+// lack the Scheduled contract runs on the frontier engine with every vertex
+// always on, and must match RunReference — errors, Metrics — for every
+// worker count and across a Session re-run. duelingHogNode covers both a
+// bandwidth failure and a timeout, where the error texts must agree byte
+// for byte.
+func TestContractlessNetworkMatchesReference(t *testing.T) {
+	topo, err := NewTopology(graph.RandomConnected(64, 0.1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := legacy.EffectiveScheduler(); got != SchedulerDense {
-		t.Errorf("legacy network EffectiveScheduler = %v, want dense fallback", got)
-	}
-	modern, err := NewNetwork(g, func(v int) Node { return NewLeaderElectNode() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := modern.EffectiveScheduler(); got != SchedulerFrontier {
-		t.Errorf("suite network EffectiveScheduler = %v, want frontier", got)
-	}
-	if got := NewNetworkOn(modern.topo, func(v int) Node { return NewLeaderElectNode() },
-		WithScheduler(SchedulerDense)).EffectiveScheduler(); got != SchedulerDense {
-		t.Errorf("explicit dense EffectiveScheduler = %v, want dense", got)
+	for _, threshold := range []int{4, 1 << 30} {
+		make := func(v int) Node { return &duelingHogNode{threshold: threshold} }
+		ref := NewNetworkOn(topo, make)
+		wantErr := ref.RunReference(12)
+		if wantErr == nil {
+			t.Fatalf("threshold %d: reference run did not fail", threshold)
+		}
+		wantM := ref.Metrics()
+		check := func(what string, m Metrics, err error) {
+			t.Helper()
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("threshold %d %s: err %v, reference %v", threshold, what, err, wantErr)
+			}
+			if m != wantM {
+				t.Errorf("threshold %d %s: Metrics = %+v, reference %+v", threshold, what, m, wantM)
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			nw := NewNetworkOn(topo, make, WithWorkers(workers))
+			err := nw.Run(12)
+			check(fmt.Sprintf("w%d", workers), nw.Metrics(), err)
+
+			sess := NewSession(topo, make, WithWorkers(workers))
+			for rerun := 0; rerun < 2; rerun++ {
+				if err := sess.Reset(nil); err != nil {
+					t.Fatal(err)
+				}
+				err := sess.Run(12)
+				check(fmt.Sprintf("w%d session rerun %d", workers, rerun), sess.Metrics(), err)
+			}
+			sess.Close()
+		}
 	}
 }

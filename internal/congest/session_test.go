@@ -264,8 +264,39 @@ func TestPoolDeterministic(t *testing.T) {
 }
 
 // A non-nil Reset params of a type the program does not understand must
-// panic loudly instead of silently re-running stale inputs.
+// panic loudly instead of silently re-running stale inputs — through a
+// Session, and for every Resettable program of the suite.
 func TestResetRejectsWrongParamsType(t *testing.T) {
+	type bogus struct{ X int }
+	for _, nd := range []Resettable{
+		NewConvergecastMaxNode(-1, nil, 0, 0),
+		NewBroadcastNode(-1, nil, 0),
+		&notifyNode{Parent: -1},
+		NewSkelRelayNode(-1, nil, 0, 1, 1, 0, 4),
+		NewBFSNode(0),
+		NewLeaderElectNode(),
+		NewCutMarkNode(-1, 2, 3),
+		NewCutSumNode(-1, nil, 0, 9),
+		NewMinFloodNode(false),
+		NewConvergecastSumNode(-1, nil, 0),
+		NewSSPNode(-1, 1, 4),
+		NewSourceMaxNode(-1, nil, 0, 1, 1, map[int]int{}),
+		NewTriangleProbeNode(3),
+		NewTokenWalkNode(-1, nil, 0, 0, 2),
+		NewWaveNode(false, -1, 4),
+		NewWeightedSSSPNode(false, nil, 10, 4),
+		NewWeightedMaxNode(-1, nil, 0, 0, 10),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T: ResetNode accepted %T params", nd, bogus{})
+				}
+			}()
+			nd.ResetNode(0, bogus{1})
+		}()
+	}
+
 	g := graph.Path(8)
 	topo, err := NewTopology(g)
 	if err != nil {
@@ -517,4 +548,28 @@ func TestSlabSessionClonesIndependent(t *testing.T) {
 			t.Errorf("clone %d (start %d): tau/value differ from the serial session", i, starts[i])
 		}
 	}
+}
+
+// TestCloneObserverRefused: cloning a session that has an observer is an
+// explicit error (the clones would share the callback and interleave their
+// traces); unobserved sessions keep cloning.
+func TestCloneObserverRefused(t *testing.T) {
+	topo, err := NewTopology(graph.Path(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []string
+	observed := NewSession(topo, func(v int) Node { return NewLeaderElectNode() },
+		WithObserver(recordObs(&trace)))
+	defer observed.Close()
+	if _, err := observed.Clone(); err == nil {
+		t.Error("Clone of an observed session: no error")
+	}
+	plain := NewSession(topo, func(v int) Node { return NewLeaderElectNode() })
+	defer plain.Close()
+	c, err := plain.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 }

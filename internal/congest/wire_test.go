@@ -417,3 +417,40 @@ func TestEngineSteadyStateAllocsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterKindRefusals: registering a kind twice, out of range, or a
+// width for an unregistered or already-widthed kind panics before touching
+// the registry.
+func TestRegisterKindRefusals(t *testing.T) {
+	unregistered := Kind(0)
+	for k := Kind(1); int(k) < numKinds; k++ {
+		if !Registered(k) {
+			unregistered = k
+			break
+		}
+	}
+	if unregistered == 0 {
+		t.Fatal("no free kind left to probe")
+	}
+	factory := func() WireMessage { return new(RawMessage) }
+	width := func(n int) int { return KindBits + BitsForID(n) }
+	for name, register := range map[string]func(){
+		"kind twice":         func() { RegisterKind(KindRaw, "raw again", factory) },
+		"invalid kind":       func() { RegisterKind(kindInvalid, "invalid", factory) },
+		"kind out of range":  func() { RegisterKind(Kind(numKinds), "too big", factory) },
+		"width unregistered": func() { RegisterKindWidth(unregistered, width) },
+		"width twice":        func() { RegisterKindWidth(KindActivate, width) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+	if Registered(unregistered) {
+		t.Errorf("kind %d became registered by a refused registration", unregistered)
+	}
+}

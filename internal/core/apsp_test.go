@@ -37,21 +37,19 @@ func apspRun(t *testing.T, g *graph.Graph, opts Options) ([][]int, ApspResult) {
 
 // TestApspMatchesOracles cross-checks the quantum APSP sweep against the
 // Floyd–Warshall and Dijkstra oracles on the ~50-graph randomized suite,
-// and checks that the full engine configuration matrix — workers ×
-// parallel × scheduler × lanes — reproduces the baseline bit for bit (rows,
-// eccentricities and every measured field).
+// and checks that the engine configuration matrix — workers × parallel —
+// reproduces the baseline bit for bit (rows, eccentricities and every
+// measured field).
 func TestApspMatchesOracles(t *testing.T) {
 	configs := []struct {
-		name      string
-		workers   int
-		parallel  int
-		lanes     int
-		scheduler congest.Scheduler
+		name     string
+		workers  int
+		parallel int
 	}{
-		{"w2", 2, 1, 1, congest.SchedulerDense},
-		{"w8/lanes8", 8, 1, 8, congest.SchedulerDense},
-		{"par4/frontier", 1, 4, 1, congest.SchedulerFrontier},
-		{"w8/par4/lanes8/frontier", 8, 4, 8, congest.SchedulerFrontier},
+		{"w2", 2, 1},
+		{"w8", 8, 1},
+		{"par4", 1, 4},
+		{"w8/par4", 8, 4},
 	}
 	for _, c := range oracleSuite(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -71,12 +69,8 @@ func TestApspMatchesOracles(t *testing.T) {
 			}
 			for _, cfg := range configs {
 				opts := Options{
-					Seed: 42, Parallel: cfg.parallel, Lanes: cfg.lanes,
-					Engine: []congest.Option{
-						congest.WithWorkers(cfg.workers),
-						congest.WithScheduler(cfg.scheduler),
-						congest.WithStrictAccounting(),
-					},
+					Seed: 42, Parallel: cfg.parallel,
+					Engine: []congest.Option{congest.WithWorkers(cfg.workers), congest.WithStrictAccounting()},
 				}
 				gotRows, got := apspRun(t, c.g, opts)
 				if !reflect.DeepEqual(got, res) {
@@ -114,13 +108,13 @@ func TestSublinearWeightedMatchesClassical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cfg := range []struct {
-				name             string
-				workers, par, ln int
+				name         string
+				workers, par int
 			}{
-				{"w1", 1, 1, 1}, {"w2", 2, 1, 1}, {"w8/lanes8", 8, 1, 8}, {"par4/lanes8", 1, 4, 8},
+				{"w1", 1, 1}, {"w2", 2, 1}, {"w8", 8, 1}, {"par4", 1, 4},
 			} {
 				opts := Options{
-					Seed: 42, Sublinear: true, Parallel: cfg.par, Lanes: cfg.ln,
+					Seed: 42, Sublinear: true, Parallel: cfg.par,
 					Engine: []congest.Option{congest.WithWorkers(cfg.workers), congest.WithStrictAccounting()},
 				}
 				diam, err := WeightedDiameter(c.g, opts)
@@ -180,7 +174,7 @@ func TestApspSampledSkeleton(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, res := apspRun(t, tc.g, Options{Seed: 7, Lanes: 8})
+			rows, res := apspRun(t, tc.g, Options{Seed: 7})
 			for s := range rows {
 				if !reflect.DeepEqual(rows[s], want[s]) {
 					t.Fatalf("row %d diverges from Floyd–Warshall", s)
@@ -257,5 +251,15 @@ func TestApspEmitContract(t *testing.T) {
 	}
 	if seen != 3 {
 		t.Fatalf("emit called %d times before abort, want 3", seen)
+	}
+	// The trivial sweeps (n <= 2) honour the same contract.
+	pair := graph.New(2)
+	if err := pair.AddWeightedEdge(0, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{graph.New(1), pair} {
+		if _, err := APSP(g, Options{}, func(int, []int) error { return sentinel }); !errors.Is(err, sentinel) {
+			t.Fatalf("n=%d: err %v, want the emit sentinel", g.N(), err)
+		}
 	}
 }

@@ -76,15 +76,9 @@ type Options struct {
 	// their values input-independent, so the computed Result is identical
 	// for every value; the knob only trades wall-clock time and memory,
 	// like congest.WithWorkers.
+	// Negative values are rejected by every entry point (see
+	// Options.validate).
 	Parallel int
-	// Lanes is the number of Evaluations fused into one engine pass
-	// (congest.MultiSession) when the Evaluation family supports it; <= 1
-	// keeps solo sessions. Lane fusion amortizes the per-round scheduler
-	// and topology cost across a batch and composes with Parallel. Like
-	// Parallel, it never changes the computed Result — every lane is
-	// bit-identical to a solo execution. Negative values are rejected by
-	// every entry point (see Options.validate).
-	Lanes int
 	// Sublinear selects the skeleton distance-oracle Evaluation for the
 	// weighted parameters (WeightedDiameter, WeightedRadius and weighted
 	// Eccentricities): a seeded skeleton sample plus hop-bounded relaxation
@@ -107,14 +101,10 @@ func (o Options) delta() float64 {
 	return o.Delta
 }
 
-// validate rejects option values that cannot mean anything: Lanes 0 and 1
-// both mean solo sessions, but a negative lane count is a caller bug that
-// previously flowed unchecked into MultiSession construction. Every public
-// entry point calls this before building any topology or session.
+// validate rejects option values that cannot mean anything: a negative
+// context count is a caller bug. Every public entry point calls this before
+// building any topology or session.
 func (o Options) validate() error {
-	if o.Lanes < 0 {
-		return fmt.Errorf("core: Options.Lanes %d is negative (0 or 1 selects solo sessions)", o.Lanes)
-	}
 	if o.Parallel < 0 {
 		return fmt.Errorf("core: Options.Parallel %d is negative (0 selects one context per CPU, 1 sequential evaluation)", o.Parallel)
 	}
@@ -154,31 +144,14 @@ func (c *evalContext) Eval(x int) (value, rounds int, err error) { return c.eval
 // Close implements query.Context.
 func (c *evalContext) Close() { c.close() }
 
-// batchEvalContext is the lane-fused counterpart of evalContext: eval runs
-// up to width independent Evaluations through one congest.MultiSession
-// pass. Its methods implement query.BatchContext.
-type batchEvalContext struct {
-	width int
-	eval  func(xs []int) (values, rounds []int, err error)
-	close func()
-}
-
-func (c *batchEvalContext) EvalBatch(xs []int) ([]int, []int, error) { return c.eval(xs) }
-func (c *batchEvalContext) Width() int                               { return c.width }
-func (c *batchEvalContext) Close()                                   { c.close() }
-
-// evalFamily is one Evaluation family: the solo context factory every
-// query needs, plus the optional lane-fused factory (nil when the family
-// cannot fuse, e.g. the weighted Bellman–Ford evaluation). Both build their
-// sessions with the given engine options (see Options.evalOracle).
-type evalFamily struct {
-	newCtx      func(engine []congest.Option) *evalContext
-	newBatchCtx func(lanes int, engine []congest.Option) query.BatchContext
-}
+// evalFamily is one Evaluation family: a factory of independent contexts
+// whose sessions are built with the given engine options (see
+// Options.evalOracle).
+type evalFamily func(engine []congest.Option) *evalContext
 
 // ctxOracle adapts an evalFamily plus the measured framework costs into a
-// query.Oracle (and query.BatchOracle) — the bridge every entry point in
-// this package crosses into the shared query layer.
+// query.Oracle — the bridge every entry point in this package crosses into
+// the shared query layer.
 type ctxOracle struct {
 	domain      []int
 	initRounds  int
@@ -190,16 +163,7 @@ type ctxOracle struct {
 func (o ctxOracle) Domain() []int             { return o.domain }
 func (o ctxOracle) InitRounds() int           { return o.initRounds }
 func (o ctxOracle) SetupRounds() int          { return o.setupRounds }
-func (o ctxOracle) NewContext() query.Context { return o.family.newCtx(o.engine) }
-
-// NewBatchContext implements query.BatchOracle; nil reports that this
-// family runs solo contexts only.
-func (o ctxOracle) NewBatchContext(lanes int) query.BatchContext {
-	if o.family.newBatchCtx == nil {
-		return nil
-	}
-	return o.family.newBatchCtx(lanes, o.engine)
-}
+func (o ctxOracle) NewContext() query.Context { return o.family(o.engine) }
 
 // evalOracle resolves how a query-backed entry point evaluates domain and
 // returns the oracle and query options it runs: Parallel 0 becomes
@@ -223,7 +187,7 @@ func (o Options) evalOracle(fam evalFamily, domain []int, initRounds, setupRound
 		family:      fam,
 		engine:      engine,
 	}
-	return oracle, query.Options{Delta: o.delta(), Seed: o.Seed, Parallel: parallel, Lanes: o.Lanes}
+	return oracle, query.Options{Delta: o.delta(), Seed: o.Seed, Parallel: parallel}
 }
 
 // ExactDiameterSimple runs the Section 3.1 algorithm: quantum maximum
@@ -298,67 +262,31 @@ func ExactDiameter(g *graph.Graph, opts Options) (Result, error) {
 // ExactDiameter and ApproxDiameter: a steps-bounded token walk assigning
 // tau', then the wave process and max convergecast. check, when non-nil,
 // validates an input before any session runs (ApproxDiameter's R-membership
-// guard). The lane-fused factory runs both stages as MultiSession batches;
-// a walk failure aborts the batch before the wave stage, so its (solo-
-// identical) error is the one reported even if a smaller lane would have
-// failed later in the wave — acceptable, since Evaluation errors are
-// deterministic program violations that do not depend on cross-lane order.
+// guard).
 func walkEccFamily(topo *congest.Topology, info *congest.PreInfo, children [][]int,
 	steps, waveDuration int, check func(u0 int) error) evalFamily {
-	return evalFamily{
-		newCtx: func(engine []congest.Option) *evalContext {
-			walk := congest.NewWalkSession(topo, info, children, steps, engine...)
-			ecc := congest.NewEccSession(topo, info, waveDuration, engine...)
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					if check != nil {
-						if err := check(u0); err != nil {
-							return 0, 0, err
-						}
-					}
-					tau, mWalk, err := walk.Eval(u0)
-					if err != nil {
+	return func(engine []congest.Option) *evalContext {
+		walk := congest.NewWalkSession(topo, info, children, steps, engine...)
+		ecc := congest.NewEccSession(topo, info, waveDuration, engine...)
+		return &evalContext{
+			eval: func(u0 int) (int, int, error) {
+				if check != nil {
+					if err := check(u0); err != nil {
 						return 0, 0, err
 					}
-					value, mRest, err := ecc.Eval(tau)
-					if err != nil {
-						return 0, 0, err
-					}
-					return value, mWalk.Rounds + mRest.Rounds, nil
-				},
-				close: func() { walk.Close(); ecc.Close() },
-			}
-		},
-		newBatchCtx: func(lanes int, engine []congest.Option) query.BatchContext {
-			walk := congest.NewMultiWalkSession(topo, info, children, steps, lanes, engine...)
-			ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, engine...)
-			rounds := make([]int, lanes)
-			return &batchEvalContext{
-				width: lanes,
-				eval: func(xs []int) ([]int, []int, error) {
-					if check != nil {
-						for i, u0 := range xs {
-							if err := check(u0); err != nil {
-								return nil, nil, &congest.LaneError{Lane: i, Err: err}
-							}
-						}
-					}
-					taus, mWalk, err := walk.EvalBatch(xs)
-					if err != nil {
-						return nil, nil, err
-					}
-					values, mRest, err := ecc.EvalBatch(taus)
-					if err != nil {
-						return nil, nil, err
-					}
-					for i := range xs {
-						rounds[i] = mWalk[i].Rounds + mRest[i].Rounds
-					}
-					return values, rounds[:len(xs)], nil
-				},
-				close: func() { walk.Close(); ecc.Close() },
-			}
-		},
+				}
+				tau, mWalk, err := walk.Eval(u0)
+				if err != nil {
+					return 0, 0, err
+				}
+				value, mRest, err := ecc.Eval(tau)
+				if err != nil {
+					return 0, 0, err
+				}
+				return value, mWalk.Rounds + mRest.Rounds, nil
+			},
+			close: func() { walk.Close(); ecc.Close() },
+		}
 	}
 }
 
@@ -477,64 +405,27 @@ type optimizationParams struct {
 func singleEccContext(topo *congest.Topology, info *congest.PreInfo) evalFamily {
 	n := topo.N()
 	waveDuration := 2*info.D + 1
-	return evalFamily{
-		newCtx: func(engine []congest.Option) *evalContext {
-			ecc := congest.NewEccSession(topo, info, waveDuration, engine...)
-			tau := make([]int, n)
-			for i := range tau {
-				tau[i] = -1
-			}
-			last := -1
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					if last >= 0 {
-						tau[last] = -1
-					}
-					tau[u0], last = 0, u0
-					value, m, err := ecc.Eval(tau)
-					if err != nil {
-						return 0, 0, err
-					}
-					return value, m.Rounds, nil
-				},
-				close: ecc.Close,
-			}
-		},
-		newBatchCtx: func(lanes int, engine []congest.Option) query.BatchContext {
-			ecc := congest.NewMultiEccSession(topo, info, waveDuration, lanes, engine...)
-			taus := make([][]int, lanes)
-			for l := range taus {
-				taus[l] = make([]int, n)
-				for i := range taus[l] {
-					taus[l][i] = -1
+	return func(engine []congest.Option) *evalContext {
+		ecc := congest.NewEccSession(topo, info, waveDuration, engine...)
+		tau := make([]int, n)
+		for i := range tau {
+			tau[i] = -1
+		}
+		last := -1
+		return &evalContext{
+			eval: func(u0 int) (int, int, error) {
+				if last >= 0 {
+					tau[last] = -1
 				}
-			}
-			lasts := make([]int, lanes)
-			for l := range lasts {
-				lasts[l] = -1
-			}
-			rounds := make([]int, lanes)
-			return &batchEvalContext{
-				width: lanes,
-				eval: func(xs []int) ([]int, []int, error) {
-					for i, u0 := range xs {
-						if lasts[i] >= 0 {
-							taus[i][lasts[i]] = -1
-						}
-						taus[i][u0], lasts[i] = 0, u0
-					}
-					values, mets, err := ecc.EvalBatch(taus[:len(xs)])
-					if err != nil {
-						return nil, nil, err
-					}
-					for i := range xs {
-						rounds[i] = mets[i].Rounds
-					}
-					return values, rounds[:len(xs)], nil
-				},
-				close: ecc.Close,
-			}
-		},
+				tau[u0], last = 0, u0
+				value, m, err := ecc.Eval(tau)
+				if err != nil {
+					return 0, 0, err
+				}
+				return value, m.Rounds, nil
+			},
+			close: ecc.Close,
+		}
 	}
 }
 
@@ -543,20 +434,18 @@ func singleEccContext(topo *congest.Topology, info *congest.PreInfo) evalFamily 
 // computing f(u0) = weighted ecc(u0). On an unweighted graph it degenerates
 // to hop eccentricities (all weights 1).
 func weightedEccContext(topo *congest.Topology, info *congest.PreInfo) evalFamily {
-	return evalFamily{
-		newCtx: func(engine []congest.Option) *evalContext {
-			ecc := congest.NewWeightedEccSession(topo, info, engine...)
-			return &evalContext{
-				eval: func(u0 int) (int, int, error) {
-					value, m, err := ecc.Eval(u0)
-					if err != nil {
-						return 0, 0, err
-					}
-					return value, m.Rounds, nil
-				},
-				close: ecc.Close,
-			}
-		},
+	return func(engine []congest.Option) *evalContext {
+		ecc := congest.NewWeightedEccSession(topo, info, engine...)
+		return &evalContext{
+			eval: func(u0 int) (int, int, error) {
+				value, m, err := ecc.Eval(u0)
+				if err != nil {
+					return 0, 0, err
+				}
+				return value, m.Rounds, nil
+			},
+			close: ecc.Close,
+		}
 	}
 }
 

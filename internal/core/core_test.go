@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -261,5 +262,58 @@ func TestApproxProbeRoundsCharged(t *testing.T) {
 	if want := probeM.Rounds + prepM.Rounds; res.InitRounds != want {
 		t.Errorf("InitRounds = %d, want probe %d + preparation %d = %d",
 			res.InitRounds, probeM.Rounds, prepM.Rounds, want)
+	}
+}
+
+// A negative Parallel is a caller bug, rejected with an explicit error by
+// every entry point before any topology or session is built; the zero
+// Options are never an error.
+func TestNegativeOptionsRejected(t *testing.T) {
+	g := graph.RandomConnected(12, 0.2, 1)
+	wg := graph.WithWeights(graph.RandomConnected(12, 0.2, 1), 5, 2)
+	for name, run := range map[string]func(Options) error{
+		"ExactDiameterSimple": func(o Options) error { _, err := ExactDiameterSimple(g, o); return err },
+		"ExactDiameter":       func(o Options) error { _, err := ExactDiameter(g, o); return err },
+		"ApproxDiameter":      func(o Options) error { _, err := ApproxDiameter(g, o); return err },
+		"Radius":              func(o Options) error { _, err := Radius(g, o); return err },
+		"WeightedDiameter":    func(o Options) error { _, err := WeightedDiameter(wg, o); return err },
+		"WeightedRadius":      func(o Options) error { _, err := WeightedRadius(wg, o); return err },
+		"Eccentricities":      func(o Options) error { _, err := Eccentricities(g, o); return err },
+		"APSP":                func(o Options) error { _, err := APSP(wg, o, nil); return err },
+	} {
+		if err := run(Options{Parallel: -2}); err == nil {
+			t.Errorf("%s: Parallel -2 accepted", name)
+		}
+		if err := run(Options{}); err != nil {
+			t.Errorf("%s: zero Options: %v", name, err)
+		}
+	}
+}
+
+// Every entry point rejects a disconnected graph with graph.ErrDisconnected
+// — the algorithms all assume a connected network — before any quantum
+// phase runs.
+func TestDisconnectedRejected(t *testing.T) {
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
+		g.AddEdge(e[0], e[1])
+	}
+	wg := graph.WithWeights(g, 5, 2)
+	for name, run := range map[string]func() error{
+		"ExactDiameterSimple": func() error { _, err := ExactDiameterSimple(g, Options{}); return err },
+		"ExactDiameter":       func() error { _, err := ExactDiameter(g, Options{}); return err },
+		"ApproxDiameter":      func() error { _, err := ApproxDiameter(g, Options{}); return err },
+		"Radius":              func() error { _, err := Radius(g, Options{}); return err },
+		"WeightedDiameter":    func() error { _, err := WeightedDiameter(wg, Options{}); return err },
+		"WeightedRadius":      func() error { _, err := WeightedRadius(wg, Options{}); return err },
+		"Eccentricities":      func() error { _, err := Eccentricities(g, Options{}); return err },
+		"APSP":                func() error { _, err := APSP(wg, Options{}, nil); return err },
+		"TriangleDetect":      func() error { _, err := TriangleDetect(g, Options{}); return err },
+		"TriangleCount":       func() error { _, err := TriangleCount(g, Options{}); return err },
+		"MinTreeCut":          func() error { _, err := MinTreeCut(wg, Options{}); return err },
+	} {
+		if err := run(); !errors.Is(err, graph.ErrDisconnected) {
+			t.Errorf("%s: err %v, want graph.ErrDisconnected", name, err)
+		}
 	}
 }

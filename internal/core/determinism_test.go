@@ -57,55 +57,6 @@ func TestQuantumApproxDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The engine scheduler (dense vs frontier, congest.WithScheduler) is a
-// pure execution-strategy knob: a full quantum optimization — hundreds of
-// session-reused Evaluations, every framework counter — must produce the
-// identical Result under either scheduler, alone or combined with worker
-// sharding and parallel evaluation contexts.
-func TestQuantumDeterministicAcrossSchedulers(t *testing.T) {
-	g := graph.RandomConnected(96, 0.06, 4)
-	want, err := ExactDiameter(g, Options{Seed: 4, Engine: []congest.Option{
-		congest.WithScheduler(congest.SchedulerDense), congest.WithWorkers(1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	configs := [][]congest.Option{
-		{congest.WithScheduler(congest.SchedulerFrontier), congest.WithWorkers(1)},
-		{congest.WithScheduler(congest.SchedulerFrontier), congest.WithWorkers(8)},
-		{congest.WithScheduler(congest.SchedulerDense), congest.WithWorkers(8)},
-	}
-	for i, engine := range configs {
-		got, err := ExactDiameter(g, Options{Seed: 4, Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("config %d: Result %+v, want %+v", i, got, want)
-		}
-	}
-	got, err := ExactDiameter(g, Options{Seed: 4, Parallel: 3, Engine: configs[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("frontier + parallel 3: Result %+v, want %+v", got, want)
-	}
-
-	wantApprox, err := ApproxDiameter(g, Options{Seed: 4, Engine: []congest.Option{
-		congest.WithScheduler(congest.SchedulerDense)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotApprox, err := ApproxDiameter(g, Options{Seed: 4, Engine: []congest.Option{
-		congest.WithScheduler(congest.SchedulerFrontier)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotApprox != wantApprox {
-		t.Errorf("approx under frontier: Result %+v, want %+v", gotApprox, wantApprox)
-	}
-}
-
 // Options.Parallel clones the evaluation sessions into a pool and batches
 // the domain; because evaluations are deterministic and input-independent,
 // the Result — value, rounds, every counter — must be identical to the

@@ -26,7 +26,7 @@ func TestAutoParallelPinsSerialEngines(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var workers []int // EffectiveWorkers of every evaluation session built
-	fam := evalFamily{newCtx: func(engine []congest.Option) *evalContext {
+	fam := evalFamily(func(engine []congest.Option) *evalContext {
 		s := congest.NewSession(topo, func(int) congest.Node { return congest.NewMinFloodNode(false) }, engine...)
 		mu.Lock()
 		workers = append(workers, s.EffectiveWorkers())
@@ -35,7 +35,7 @@ func TestAutoParallelPinsSerialEngines(t *testing.T) {
 			eval:  func(x int) (int, int, error) { return x % 5, 3, nil },
 			close: s.Close,
 		}
-	}}
+	})
 	cases := []struct {
 		name     string
 		procs    int

@@ -61,7 +61,7 @@ func weightedFamilyFor(topo *congest.Topology, info *congest.PreInfo, opts Optio
 	}
 	oracle, err := buildSkelOracle(topo, info, opts)
 	if err != nil {
-		return evalFamily{}, 0, err
+		return nil, 0, err
 	}
 	return skelEccFamily(oracle), oracle.InitRounds, nil
 }
@@ -212,9 +212,9 @@ func Eccentricities(g *graph.Graph, opts Options) (EccResult, error) {
 		return EccResult{}, err
 	}
 	// The straight-line use of the query layer: one Evaluation per vertex,
-	// batched over cloned sessions (Parallel) and fused into multi-lane
-	// engine passes (Lanes), with the per-vertex cost uniformity (the
-	// property the quantum queries rely on) asserted by EvalAll.
+	// batched over cloned sessions (Parallel), with the per-vertex cost
+	// uniformity (the property the quantum queries rely on) asserted by
+	// EvalAll.
 	ecc, evalRounds, err := query.EvalAll(opts.evalOracle(fam, identityDomain(n), pre.Rounds+oracleInit, info.D+1))
 	if err != nil {
 		return EccResult{}, err

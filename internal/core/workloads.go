@@ -58,7 +58,7 @@ func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, query.Options, err
 	if err != nil {
 		return ctxOracle{}, query.Options{}, err
 	}
-	fam := evalFamily{newCtx: func(engine []congest.Option) *evalContext {
+	fam := evalFamily(func(engine []congest.Option) *evalContext {
 		ts := congest.NewTriangleSession(topo, info, flags, engine...)
 		return &evalContext{
 			eval: func(u0 int) (int, int, error) {
@@ -67,7 +67,7 @@ func triangleOracle(g *graph.Graph, opts Options) (ctxOracle, query.Options, err
 			},
 			close: ts.Close,
 		}
-	}}
+	})
 	oracle, qopts := opts.evalOracle(fam, identityDomain(g.N()), pre.Rounds+probe.Rounds, info.D+1)
 	return oracle, qopts, nil
 }
@@ -196,7 +196,7 @@ func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
 			domain = append(domain, v)
 		}
 	}
-	fam := evalFamily{newCtx: func(engine []congest.Option) *evalContext {
+	fam := evalFamily(func(engine []congest.Option) *evalContext {
 		cs := congest.NewCutSession(topo, info, engine...)
 		return &evalContext{
 			eval: func(u0 int) (int, int, error) {
@@ -205,7 +205,7 @@ func MinTreeCut(g *graph.Graph, opts Options) (CutResult, error) {
 			},
 			close: cs.Close,
 		}
-	}}
+	})
 	oracle, qopts := opts.evalOracle(fam, domain, pre.Rounds, info.D+1)
 	qr, err := query.Minimum(oracle, 1/float64(len(domain)), qopts)
 	if err != nil {

@@ -91,10 +91,7 @@ func runTrials(trials, parallel int, run func(tr int) (core.Result, error)) (rou
 // increasing size. trials averages the randomized quantum cost; parallel
 // runs that many trials concurrently (<= 1: sequential) with results folded
 // in trial order, so the measured series are identical for every value.
-// lanes is forwarded to core.Options.Lanes: the number of Evaluations fused
-// into one lane-engine pass (<= 1: solo sessions); like parallel, it never
-// changes the measured series.
-func ExactComparison(sizes []int, diameter int, trials int, seed int64, parallel, lanes int, engine ...congest.Option) (classical, quantum Series, err error) {
+func ExactComparison(sizes []int, diameter int, trials int, seed int64, parallel int, engine ...congest.Option) (classical, quantum Series, err error) {
 	classical.Name = "classical exact (PRT12)"
 	quantum.Name = "quantum exact (Theorem 1)"
 	for _, n := range sizes {
@@ -115,7 +112,7 @@ func ExactComparison(sizes []int, diameter int, trials int, seed int64, parallel
 			Diameter: cres.Diameter, OK: cres.Diameter == want,
 		})
 		rounds, lastDiam, hits, err := runTrials(trials, parallel, func(tr int) (core.Result, error) {
-			return core.ExactDiameter(g, core.Options{Seed: seed + int64(tr), Lanes: lanes, Engine: engine})
+			return core.ExactDiameter(g, core.Options{Seed: seed + int64(tr), Engine: engine})
 		})
 		if err != nil {
 			return classical, quantum, err
@@ -130,9 +127,8 @@ func ExactComparison(sizes []int, diameter int, trials int, seed int64, parallel
 
 // DiameterSweep measures quantum exact rounds as D grows with n fixed,
 // exposing the sqrt(D) factor of Theorem 1. parallel runs up to that many
-// trials concurrently, with deterministic result folding; lanes fuses that
-// many Evaluations per engine pass (core.Options.Lanes).
-func DiameterSweep(n int, diameters []int, trials int, seed int64, parallel, lanes int, engine ...congest.Option) (Series, error) {
+// trials concurrently, with deterministic result folding.
+func DiameterSweep(n int, diameters []int, trials int, seed int64, parallel int, engine ...congest.Option) (Series, error) {
 	s := Series{Name: "quantum exact vs D"}
 	for _, d := range diameters {
 		g, err := graph.LollipopWithDiameter(n, d)
@@ -140,7 +136,7 @@ func DiameterSweep(n int, diameters []int, trials int, seed int64, parallel, lan
 			return s, err
 		}
 		rounds, last, hits, err := runTrials(trials, parallel, func(tr int) (core.Result, error) {
-			return core.ExactDiameter(g, core.Options{Seed: seed + int64(tr), Lanes: lanes, Engine: engine})
+			return core.ExactDiameter(g, core.Options{Seed: seed + int64(tr), Engine: engine})
 		})
 		if err != nil {
 			return s, err
@@ -155,9 +151,8 @@ func DiameterSweep(n int, diameters []int, trials int, seed int64, parallel, lan
 
 // ApproxComparison measures the Table 1 "3/2-approximation" row. parallel
 // runs up to that many trials concurrently, with deterministic result
-// folding; lanes fuses that many Evaluations per engine pass
-// (core.Options.Lanes).
-func ApproxComparison(sizes []int, diameter int, trials int, seed int64, parallel, lanes int, engine ...congest.Option) (classical, quantum Series, err error) {
+// folding.
+func ApproxComparison(sizes []int, diameter int, trials int, seed int64, parallel int, engine ...congest.Option) (classical, quantum Series, err error) {
 	classical.Name = "classical 3/2-approx (HPRW14)"
 	quantum.Name = "quantum 3/2-approx (Theorem 4)"
 	for _, n := range sizes {
@@ -178,7 +173,7 @@ func ApproxComparison(sizes []int, diameter int, trials int, seed int64, paralle
 			OK: approxOK(cres.Diameter, want),
 		})
 		rounds, last, hits, err := runTrials(trials, parallel, func(tr int) (core.Result, error) {
-			return core.ApproxDiameter(g, core.Options{Seed: seed + int64(tr), Lanes: lanes, Engine: engine})
+			return core.ApproxDiameter(g, core.Options{Seed: seed + int64(tr), Engine: engine})
 		})
 		if err != nil {
 			return classical, quantum, err

@@ -23,7 +23,6 @@
 package query
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -39,29 +38,6 @@ import (
 type Context interface {
 	Eval(x int) (value, rounds int, err error)
 	Close()
-}
-
-// BatchContext is a lane-fused evaluation context: EvalBatch computes up to
-// Width() independent Evaluations through one lockstep engine pass
-// (congest.MultiSession), returning per-input values and measured round
-// counts bit-identical to Width() solo Context.Eval calls. A failure is
-// reported as a *congest.LaneError for the smallest failing input, whose
-// message equals the solo evaluation's error. Like a Context, a
-// BatchContext evaluates serially; distinct BatchContexts may run
-// concurrently.
-type BatchContext interface {
-	EvalBatch(xs []int) (values, rounds []int, err error)
-	Width() int
-	Close()
-}
-
-// BatchOracle is an Oracle whose Evaluation family supports lane-fused
-// batching. NewBatchContext returns nil when the family cannot fuse (the
-// queries then fall back to solo contexts), so embedding oracles can
-// delegate the decision per configuration.
-type BatchOracle interface {
-	Oracle
-	NewBatchContext(lanes int) BatchContext
 }
 
 // Oracle describes one distributed Evaluation family to run queries over.
@@ -94,13 +70,6 @@ type Options struct {
 	// Result, and the error of a failing oracle, are identical for every
 	// value.
 	Parallel int
-	// Lanes is the number of Evaluations fused into one engine pass when
-	// the oracle supports lane batching (BatchOracle); <= 1 keeps solo
-	// contexts. Lane fusion amortizes the per-round scheduler cost and
-	// composes with Parallel (each of the Parallel workers runs a
-	// Lanes-wide context). The computed Result is identical for every
-	// value.
-	Lanes int
 }
 
 func (o Options) delta() float64 {
@@ -115,13 +84,6 @@ func (o Options) parallel() int {
 		return 1
 	}
 	return o.Parallel
-}
-
-func (o Options) lanes() int {
-	if o.Lanes < 1 {
-		return 1
-	}
-	return o.Lanes
 }
 
 // Result reports one query outcome together with its measured costs.
@@ -153,57 +115,42 @@ type Result struct {
 }
 
 // evalBackend is the evaluation machinery one query runs on: a sequential
-// evaluator for the lazy path, an optional whole-domain batch (nil: the
-// query evaluates lazily, which only Search does), and the close hook. Two
-// implementations exist — a pool of solo Contexts, and a pool of
-// lane-fused BatchContexts when the oracle supports them and Options.Lanes
-// asks for fusion. Results are identical either way; only the engine
-// passes are amortized.
+// evaluator on context 0 of a pool of Contexts for the lazy path, an
+// optional whole-domain batch on the pool (nil: the query evaluates lazily,
+// which only Search does), and the close hook.
 type evalBackend struct {
 	evaluate qcongest.EvalProc
 	// batch precomputes the whole domain (errors wrapped "evaluate <x>"
-	// for the smallest failing element, the solo pool's contract).
+	// for the smallest failing element, the Pool's error contract).
 	batch func([]int) ([]int, []int, error)
-	// rawBatch is batch without the wrapping — EvalAll's error contract
-	// (nil unless lane-fused; solo EvalAll runs directly on the pool).
-	rawBatch func([]int) ([]int, []int, error)
-	// pool is the solo context pool (nil when lane-fused).
-	pool  *congest.Pool[Context]
 	close func()
 }
 
+// newPool builds `parallel` independent contexts of o.
+func newPool(o Oracle, parallel int) *congest.Pool[Context] {
+	pool, _ := congest.NewPool(parallel, func(int) (Context, error) { return o.NewContext(), nil })
+	return pool
+}
+
+// closePool closes every context of pool.
+func closePool(pool *congest.Pool[Context]) { pool.Close(func(c Context) { c.Close() }) }
+
 // contextPool builds the evaluation backend every query runs on: context 0
 // serves the sequential path, and the whole pool serves batched
-// evaluation. The batch closure is nil only for a sequential solo query
-// that may stop early (lazy: Search). Every other query evaluates the
-// whole domain anyway — FindMax and FindAll end with a fruitless
-// full-support phase — so it batches at every Parallel value, and a
-// failure names the smallest failing input (the Pool's error contract),
-// independent of the amplification's visiting order. Lane-fused backends
-// always batch — precomputing the domain through Width()-wide engine
-// passes is the amortization Lanes asks for.
+// evaluation. The batch closure is nil only for a sequential query that
+// may stop early (lazy: Search). Every other query evaluates the whole
+// domain anyway — FindMax and FindAll end with a fruitless full-support
+// phase — so it batches at every Parallel value, and a failure names the
+// smallest failing input (the Pool's error contract), independent of the
+// amplification's visiting order. Negated (minimizing) queries are never
+// lazy, so only the batch negates: the sequential evaluator is never
+// consulted once the batch has filled the memo.
 func contextPool(o Oracle, opts Options, negate, lazy bool) *evalBackend {
 	parallel := opts.parallel()
-	if lanes := opts.lanes(); lanes > 1 {
-		if bo, ok := o.(BatchOracle); ok {
-			if first := bo.NewBatchContext(lanes); first != nil {
-				return laneBackend(bo, first, parallel, lanes, negate)
-			}
-		}
-	}
-
-	pool, _ := congest.NewPool(parallel, func(int) (Context, error) { return o.NewContext(), nil })
+	pool := newPool(o, parallel)
 	b := &evalBackend{
-		pool:  pool,
-		close: func() { pool.Close(func(c Context) { c.Close() }) },
-	}
-	b.evaluate = pool.Get(0).Eval
-	if negate {
-		inner := b.evaluate
-		b.evaluate = func(x int) (int, int, error) {
-			v, r, err := inner(x)
-			return -v, r, err
-		}
+		evaluate: pool.Get(0).Eval,
+		close:    func() { closePool(pool) },
 	}
 	if !lazy || parallel > 1 {
 		// Precompute every domain value on the pool. The amplification then
@@ -227,78 +174,6 @@ func contextPool(o Oracle, opts Options, negate, lazy bool) *evalBackend {
 		}
 	}
 	return b
-}
-
-// laneBackend builds the lane-fused backend: `parallel` BatchContexts,
-// each evaluating `lanes` domain elements per engine pass. The domain is
-// chunked in order, so the smallest failing chunk holds the smallest
-// failing element and the smallest failing lane within it IS that element
-// — batch error selection is identical to the solo pool's.
-func laneBackend(bo BatchOracle, first BatchContext, parallel, lanes int, negate bool) *evalBackend {
-	bpool, _ := congest.NewPool(parallel, func(i int) (BatchContext, error) {
-		if i == 0 {
-			return first, nil
-		}
-		return bo.NewBatchContext(lanes), nil
-	})
-	width := first.Width()
-	run := func(domain []int, wrap bool) ([]int, []int, error) {
-		values := make([]int, len(domain))
-		rounds := make([]int, len(domain))
-		chunks := (len(domain) + width - 1) / width
-		err := bpool.Do(chunks, func(ci int, c BatchContext) error {
-			lo := ci * width
-			hi := lo + width
-			if hi > len(domain) {
-				hi = len(domain)
-			}
-			vs, rs, err := c.EvalBatch(domain[lo:hi])
-			if err != nil {
-				if !wrap {
-					return err
-				}
-				x := domain[lo]
-				var le *congest.LaneError
-				if errors.As(err, &le) && le.Lane < hi-lo {
-					x = domain[lo+le.Lane]
-				}
-				return fmt.Errorf("evaluate %d: %w", x, err)
-			}
-			copy(values[lo:hi], vs)
-			copy(rounds[lo:hi], rs)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if negate {
-			for i := range values {
-				values[i] = -values[i]
-			}
-		}
-		return values, rounds, nil
-	}
-	return &evalBackend{
-		evaluate: func(x int) (int, int, error) {
-			one := [1]int{x}
-			vs, rs, err := bpool.Get(0).EvalBatch(one[:])
-			if err != nil {
-				var le *congest.LaneError
-				if errors.As(err, &le) {
-					err = le.Err // the solo evaluation's error, verbatim
-				}
-				return 0, 0, err
-			}
-			v := vs[0]
-			if negate {
-				v = -v
-			}
-			return v, rs[0], nil
-		},
-		batch:    func(domain []int) ([]int, []int, error) { return run(domain, true) },
-		rawBatch: func(domain []int) ([]int, []int, error) { return run(domain, false) },
-		close:    func() { bpool.Close(func(c BatchContext) { c.Close() }) },
-	}
 }
 
 // optimize is the shared body of Maximum and Minimum: quantum optimization
@@ -415,32 +290,21 @@ func Count(o Oracle, marked func(value int) bool, opts Options) (Result, error) 
 // together with the uniform per-evaluation round count, which EvalAll
 // asserts (the property the quantum queries rely on).
 func EvalAll(o Oracle, opts Options) (values []int, evalRounds int, err error) {
-	be := contextPool(o, opts, false, false)
-	defer be.close()
+	pool := newPool(o, opts.parallel())
+	defer closePool(pool)
 
 	domain := o.Domain()
-	var rounds []int
-	if be.rawBatch != nil {
-		// Lane-fused sweep: whole-domain evaluation through Width()-wide
-		// engine passes. Errors surface unwrapped (as *congest.LaneError,
-		// whose message is the solo evaluation's), matching the solo path.
-		values, rounds, err = be.rawBatch(domain)
+	values = make([]int, len(domain))
+	rounds := make([]int, len(domain))
+	if err := pool.Do(len(domain), func(j int, c Context) error {
+		v, r, err := c.Eval(domain[j])
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-	} else {
-		values = make([]int, len(domain))
-		rounds = make([]int, len(domain))
-		if err := be.pool.Do(len(domain), func(j int, c Context) error {
-			v, r, err := c.Eval(domain[j])
-			if err != nil {
-				return err
-			}
-			values[j], rounds[j] = v, r
-			return nil
-		}); err != nil {
-			return nil, 0, err
-		}
+		values[j], rounds[j] = v, r
+		return nil
+	}); err != nil {
+		return nil, 0, err
 	}
 	if len(domain) == 0 {
 		return values, 0, nil

@@ -5,13 +5,15 @@ package query_test
 // random graphs, each Evaluation one genuine max-convergecast on the
 // preprocessing BFS tree. Every query kind is cross-checked against the
 // plain loop over vals, and the full Result (values and every measured
-// cost) must be bit-identical across worker counts, sequential vs batched
-// evaluation, and both schedulers.
+// cost) must be bit-identical across worker counts and sequential vs
+// batched evaluation.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qcongest/internal/congest"
@@ -143,14 +145,10 @@ type queryConfig struct {
 
 func queryConfigs() []queryConfig {
 	return []queryConfig{
-		{"w1-seq-frontier", 1, []congest.Option{
-			congest.WithWorkers(1), congest.WithScheduler(congest.SchedulerFrontier), congest.WithStrictAccounting()}},
-		{"w2-seq-dense", 1, []congest.Option{
-			congest.WithWorkers(2), congest.WithScheduler(congest.SchedulerDense), congest.WithStrictAccounting()}},
-		{"w8-par4-frontier", 4, []congest.Option{
-			congest.WithWorkers(8), congest.WithScheduler(congest.SchedulerFrontier), congest.WithStrictAccounting()}},
-		{"w1-par4-dense", 4, []congest.Option{
-			congest.WithWorkers(1), congest.WithScheduler(congest.SchedulerDense), congest.WithStrictAccounting()}},
+		{"w1-seq-frontier", 1, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
+		{"w2-seq-frontier", 1, []congest.Option{congest.WithWorkers(2), congest.WithStrictAccounting()}},
+		{"w8-par4-frontier", 4, []congest.Option{congest.WithWorkers(8), congest.WithStrictAccounting()}},
+		{"w1-par4-frontier", 4, []congest.Option{congest.WithWorkers(1), congest.WithStrictAccounting()}},
 	}
 }
 
@@ -352,5 +350,71 @@ func TestQueryErrorSelectionDeterministic(t *testing.T) {
 				t.Errorf("seed %d parallel %d: EvalAll error = %v, want input 9's", seed, p, err)
 			}
 		}
+	}
+}
+
+// fakeOracle is an in-memory Oracle for the error contracts: f(x) =
+// (x*37) mod 101 in a fixed 7 rounds, failing at failAt (-1: never), with
+// optional input-dependent round counts (uneven).
+type fakeOracle struct {
+	n      int
+	failAt int
+	uneven bool
+}
+
+func (o *fakeOracle) Domain() []int {
+	d := make([]int, o.n)
+	for i := range d {
+		d[i] = i
+	}
+	return d
+}
+
+func (o *fakeOracle) InitRounds() int           { return 3 }
+func (o *fakeOracle) SetupRounds() int          { return 2 }
+func (o *fakeOracle) NewContext() query.Context { return fakeContext{o} }
+
+type fakeContext struct{ o *fakeOracle }
+
+func (c fakeContext) Eval(x int) (int, int, error) {
+	if x == c.o.failAt {
+		return 0, 0, errors.New("relay window missed")
+	}
+	r := 7
+	if c.o.uneven {
+		r += x % 2
+	}
+	return (x * 37) % 101, r, nil
+}
+
+func (c fakeContext) Close() {}
+
+// TestQueryErrorContract pins the error rules: the pooled queries wrap the
+// smallest failing element as "evaluate <x>"; EvalAll returns the bare
+// evaluation error, rejects input-dependent round counts, and evaluates an
+// empty domain to an empty table at zero cost.
+func TestQueryErrorContract(t *testing.T) {
+	failing := &fakeOracle{n: 12, failAt: 7}
+	eps := 1.0 / 12
+	if _, err := query.Maximum(failing, eps, query.Options{Seed: 1, Parallel: 4}); err == nil {
+		t.Error("pooled Maximum on a failing oracle: no error")
+	} else if !strings.Contains(err.Error(), "evaluate 7") {
+		t.Errorf("pooled Maximum error %q does not name element 7", err)
+	}
+	if _, err := query.Minimum(failing, eps, query.Options{Seed: 1, Parallel: 3}); err == nil {
+		t.Error("pooled Minimum on a failing oracle: no error")
+	} else if !strings.Contains(err.Error(), "evaluate 7") {
+		t.Errorf("pooled Minimum error %q does not name element 7", err)
+	}
+
+	if _, _, err := query.EvalAll(failing, query.Options{}); err == nil || err.Error() != "relay window missed" {
+		t.Errorf("EvalAll error %v, want the bare evaluation error", err)
+	}
+	uneven := &fakeOracle{n: 10, failAt: -1, uneven: true}
+	if _, _, err := query.EvalAll(uneven, query.Options{}); err == nil || !strings.Contains(err.Error(), "evaluation cost depends on input") {
+		t.Errorf("uneven oracle: err %v, want the uniformity violation", err)
+	}
+	if vals, rounds, err := query.EvalAll(&fakeOracle{n: 0, failAt: -1}, query.Options{}); err != nil || len(vals) != 0 || rounds != 0 {
+		t.Errorf("empty domain: (%v, %d, %v), want ([], 0, nil)", vals, rounds, err)
 	}
 }

@@ -22,12 +22,12 @@
 // executes, each round, only the vertices that can act (message receivers,
 // self-scheduled programs, and — conservatively — programs without the
 // activity contract), sharded over a pool of workers. The execution is
-// bit-for-bit deterministic for any worker count and either scheduler, so
-// WithWorkers and WithScheduler only trade wall-clock time. Every message
-// is a typed wire message encoded to real bits, and all bandwidth
-// accounting is derived from the encoded lengths (see the CONGEST
-// programming layer below: CongestNode, Outbox, WireMessage,
-// RegisterMessageKind). Engine options (WithWorkers, WithScheduler,
+// bit-for-bit deterministic for any worker count — identical to the
+// sequential reference engine (CongestNetwork.RunReference) — so WithWorkers
+// only trades wall-clock time. Every message is a typed wire message
+// encoded to real bits, and all bandwidth accounting is derived from the
+// encoded lengths (see the CONGEST programming layer below: CongestNode,
+// Outbox, WireMessage, RegisterMessageKind). Engine options (WithWorkers,
 // WithBandwidth, WithStrictAccounting) are accepted by every classical
 // entry point and by the Engine field of QuantumOptions.
 //
@@ -37,10 +37,7 @@
 // The quantum algorithms amortize all per-Evaluation setup this way;
 // QuantumOptions.Parallel batches independent Evaluations onto cloned
 // sessions concurrently (by default one per usable CPU, each on a serial
-// engine), and QuantumOptions.Lanes fuses independent
-// Evaluations into multi-lane engine passes (CongestMultiSession) that
-// share each round's scheduling and topology traversal — both
-// deterministically, like every other knob.
+// engine) — deterministically, like every other knob.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results versus the paper's claims.
@@ -123,23 +120,6 @@ type ClassicalResult = congest.ExactResult
 // WithBandwidth, which changes the model itself.
 type EngineOption = congest.Option
 
-// EngineScheduler selects the engine's round-execution strategy; see
-// WithScheduler.
-type EngineScheduler = congest.Scheduler
-
-// Scheduler strategies.
-const (
-	// SchedulerFrontier (the default) executes, each round, only the
-	// vertices that can act: message receivers, self-scheduled programs
-	// (CongestScheduled), and programs without the contract (conservative
-	// always-active default). Bit-identical to dense, but wall-clock
-	// scales with the algorithm's total work instead of n x rounds.
-	SchedulerFrontier = congest.SchedulerFrontier
-	// SchedulerDense executes every vertex every round — the original
-	// strategy, retained as a selectable oracle.
-	SchedulerDense = congest.SchedulerDense
-)
-
 // CongestScheduled is the optional activity contract a custom node program
 // implements to benefit from frontier scheduling: NextWake reports the
 // next round the vertex must run without receiving a message (or
@@ -152,9 +132,6 @@ var (
 	// WithWorkers shards round execution over k goroutines (k <= 0 selects
 	// the automatic rule; 1 runs serially). Output is identical for all k.
 	WithWorkers = congest.WithWorkers
-	// WithScheduler selects dense or frontier round execution; outputs,
-	// Metrics, observer traces and errors are bit-identical either way.
-	WithScheduler = congest.WithScheduler
 	// WithBandwidth overrides the per-edge per-round bit budget.
 	WithBandwidth = congest.WithBandwidth
 	// WithStrictAccounting cross-checks declared size formulas
@@ -214,39 +191,6 @@ type (
 	// CongestResettable is the lifecycle contract reusable node programs
 	// implement (ResetNode must restore the constructed state).
 	CongestResettable = congest.Resettable
-)
-
-// Lane-fused execution: a CongestMultiSession runs k independent copies
-// (lanes) of a node program in lockstep through a single engine pass — one
-// frontier iteration per round over the union of the lanes' frontiers, one
-// topology-row load per visited vertex feeding every lane's state. Each
-// lane's outputs, Metrics, errors and observer traces are bit-identical to
-// a solo CongestSession run. The quantum layer uses it through
-// QuantumOptions.Lanes; custom programs can drive it directly. See
-// DESIGN.md, "Lane-fused execution".
-type (
-	// CongestMultiSession is the k-lane counterpart of CongestSession.
-	CongestMultiSession = congest.MultiSession
-	// CongestMultiWalkSession / CongestMultiEccSession are the lane-fused
-	// counterparts of the Figure 2 Evaluation sessions: a batch of token
-	// walks, and a batch of wave+convergecast eccentricity computations.
-	CongestMultiWalkSession = congest.MultiWalkSession
-	CongestMultiEccSession  = congest.MultiEccSession
-	// LaneError attributes a batch failure to the smallest failing lane;
-	// its Error() string is exactly the solo session's error.
-	LaneError = congest.LaneError
-)
-
-// Lane-fused session constructors.
-var (
-	// NewCongestMultiSession builds a k-lane session; makeNode constructs
-	// the program of vertex v in a given lane.
-	NewCongestMultiSession = congest.NewMultiSession
-	// NewCongestMultiWalkSession and NewCongestMultiEccSession build the
-	// lane-fused Evaluation sessions the quantum algorithms run on when
-	// QuantumOptions.Lanes > 1.
-	NewCongestMultiWalkSession = congest.NewMultiWalkSession
-	NewCongestMultiEccSession  = congest.NewMultiEccSession
 )
 
 // Pool runs independent jobs concurrently on cloned execution contexts;
@@ -363,9 +307,8 @@ type ApspResult = core.ApspResult
 // + D))-round preprocessing. Rows arrive in source order through
 // emit(source, row); the row slice is reused between calls (copy to
 // retain), and a nil emit runs the sweep for its round accounting only.
-// QuantumOptions.Lanes fuses Evaluations into multi-lane engine passes and
 // QuantumOptions.Parallel > 1 shards the sweep over cloned sessions (APSP
-// keeps one session by default: each holds skeleton-relay state); neither
+// keeps one session by default: each holds skeleton-relay state); it never
 // changes any emitted value. Setting QuantumOptions.Sublinear routes
 // WeightedDiameter, WeightedRadius and weighted Eccentricities through the
 // same oracle.
