@@ -22,8 +22,9 @@
 // round never exceed the configured bandwidth (default Θ(log n)).
 // Violations fail the run, so passing tests prove the congestion claims
 // (e.g. the paper's Lemma 4) over real bit counts. WithStrictAccounting
-// additionally cross-checks any legacy declared size formula
-// (BitsDeclarer) against the encoded length.
+// additionally cross-checks an external kind's declared size formula
+// (BitsDeclarer) against the encoded length; built-in kinds derive their
+// sizes from their layouts, so they match by construction.
 //
 // # Execution engine
 //
@@ -100,13 +101,13 @@ func (in *Inbound) Decode(env *Env, m WireMessage) error {
 	if k := m.WireKind(); k != in.Kind {
 		return fmt.Errorf("congest: cannot decode %v message into %v", in.Kind, k)
 	}
-	// Single-word fast path: the whole message fits one uint64, so the
-	// payload is one shift-and-mask away. UnpackWire accepts exactly the
-	// payloads the generic decode accepts cleanly (the differential tests
-	// pin this); on ok=false we fall through to the generic path, which
-	// reproduces the canonical error.
-	if p, fast := m.(PackedWire); fast && in.wire.bits <= 64 {
-		if p.UnpackWire(env.N, in.wire.word()>>KindBits, int(in.wire.bits)-KindBits) {
+	// Single-word fast path for built-in kinds: the whole message fits one
+	// uint64, so the payload is one shift-and-mask away. The layout's
+	// unpack accepts exactly the payloads its generic decode accepts
+	// cleanly (the differential tests pin this); on false we fall through
+	// to the generic path, which reproduces the canonical error.
+	if s, fast := m.(schemaMessage); fast && in.wire.bits <= 64 {
+		if s.layout(env.N).unpack(in.wire.word()>>KindBits, int(in.wire.bits)-KindBits) {
 			return nil
 		}
 	}
@@ -264,26 +265,20 @@ func (o *Outbox) fail(err error) {
 // encode marshals m (kind tag + payload) into the arena and returns its
 // start offset and encoded length. ok is false after a validation failure.
 //
-// Messages implementing PackedWire whose encoding fits one word take the
-// single-write fast path; under strict accounting the cross-check is the
-// precomputed per-kind width table (one integer compare). Any condition
-// the fast path cannot certify — pack refusal, width over one word, a
-// strict check with no fixed width — falls through to the generic path
-// below, which produces the canonical encodings and errors.
+// Built-in kinds whose encoding fits one word take the single-write fast
+// path. Their sizes match their layouts by construction, so strict
+// accounting has nothing to cross-check there. Anything the fast path
+// cannot certify — a pack refusal, a message wider than one word — falls
+// through to the generic path below, which produces the canonical
+// encodings and errors.
 func (o *Outbox) encode(m WireMessage) (start, bits int, k Kind, ok bool) {
 	k = m.WireKind()
-	if p, fast := m.(PackedWire); fast && Registered(k) {
-		if payload, width, pok := p.PackWire(o.arena.N); pok {
+	if s, fast := m.(schemaMessage); fast && Registered(k) {
+		if payload, width, pok := s.layout(o.arena.N).pack(); pok {
 			bits = KindBits + width
-			if bits <= 64 && (!o.nw.strict || int(o.nw.packW[k]) == bits) {
-				word := uint64(k) | payload<<KindBits
-				if bits < 64 {
-					word &= 1<<uint(bits) - 1 // cap a buggy codec's stray high bits
-				}
-				start = o.arena.Len()
-				o.arena.writeRaw(word, bits)
-				return start, bits, k, true
-			}
+			start = o.arena.Len()
+			o.arena.writeRaw(uint64(k)|payload<<KindBits, bits)
+			return start, bits, k, true
 		}
 	}
 	if !Registered(k) {
@@ -584,11 +579,6 @@ type Network struct {
 	strict    bool
 	metrics   Metrics
 	observer  Observer
-
-	// packW[k] is kind k's fixed total encoded width at this network's n
-	// (0 = dynamic), precomputed so the strict cross-check on the packed
-	// encode fast path is one compare. See RegisterKindWidth.
-	packW [numKinds]uint8
 }
 
 // DefaultBandwidth returns the bandwidth used when none is configured:
@@ -625,8 +615,9 @@ func WithWorkers(k int) Option {
 // WithStrictAccounting makes the engine cross-check, for every message
 // whose type implements BitsDeclarer, the declared size formula against the
 // actual encoded length, failing the run on any mismatch. Accounting always
-// uses the encoded length; this option certifies that the documented
-// formulas (DESIGN.md's encoding tables) match the wire.
+// uses the encoded length; this option certifies that an external kind's
+// documented formula matches the wire. Built-in kinds declare no formula of
+// their own: their sizes derive from the same layout as their encodings.
 func WithStrictAccounting() Option {
 	return func(nw *Network) { nw.strict = true }
 }
@@ -661,7 +652,6 @@ func NewNetworkOn(topo *Topology, make func(v int) Node, opts ...Option) *Networ
 		topo:      topo,
 		nodes:     make2(topo.n, make),
 		bandwidth: DefaultBandwidth(topo.n),
-		packW:     packedWidths(topo.n),
 	}
 	for _, o := range opts {
 		o(nw)

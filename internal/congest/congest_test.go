@@ -10,11 +10,14 @@ func TestDefaultBandwidth(t *testing.T) {
 	if bw := DefaultBandwidth(1024); bw != 56 {
 		t.Errorf("DefaultBandwidth(1024) = %d, want 56", bw)
 	}
-	// Room for a two-field message plus its kind tag even on tiny networks.
-	for n := 1; n <= 8; n++ {
-		m := msgWave{Tau: 0, Delta: 0}
-		if got, bw := m.DeclaredBits(n), DefaultBandwidth(n); got > bw {
-			t.Errorf("n=%d: wave message %d bits exceeds default bandwidth %d", n, got, bw)
+	// CONGEST compliance: every kind of fixed width — up to two O(log n)
+	// fields plus its kind tag — fits the default O(log n) bandwidth, from
+	// tiny networks up.
+	for _, n := range append([]int{4, 5, 6, 8}, widthSweep...) {
+		for _, k := range RegisteredKinds() {
+			if got, fixed := kindWidth(k, n); fixed && got > DefaultBandwidth(n) {
+				t.Errorf("n=%d: %v message %d bits exceeds default bandwidth %d", n, k, got, DefaultBandwidth(n))
+			}
 		}
 	}
 }

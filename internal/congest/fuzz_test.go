@@ -1,13 +1,16 @@
 package congest
 
-// Native Go fuzz harnesses for the wire layer. Two properties are enforced:
+// Native Go fuzz harnesses for the wire layer. Three properties are
+// enforced:
 //
 //   - round-trip: any sequence of (width, value) fields packed by Writer is
 //     read back bit-exactly by Reader, and the cursor arithmetic matches the
 //     declared widths;
 //   - robustness: decoding arbitrary bytes as any registered message kind
 //     must either succeed or return an error through Reader.Err — it must
-//     NEVER panic, whatever the payload (truncated, oversized, garbage).
+//     NEVER panic, whatever the payload (truncated, oversized, garbage);
+//   - agreement: a built-in kind's packed decode accepts exactly the
+//     payloads its generic decode accepts, into the identical message.
 //
 // Seed corpora are checked in under testdata/fuzz (plus the f.Add seeds
 // below). CI runs a short `-fuzz` smoke on both targets; longer local runs:
@@ -116,10 +119,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 // FuzzWireMessage decodes arbitrary bytes as every registered message kind:
 // malformed input must surface as a Reader error (or a clean partial
-// decode), never as a panic or an out-of-bounds access. When a decode
-// consumes the payload cleanly, the message must re-marshal and re-decode to
-// the identical value (the codec-pair consistency the engine's Decode
-// enforces).
+// decode), never as a panic or an out-of-bounds access. A built-in kind's
+// packed decode must agree with the generic one on every single-word input.
+// When a decode consumes the payload cleanly, the message must re-marshal
+// and re-decode to the identical value (the codec-pair consistency the
+// engine's Decode enforces).
 func FuzzWireMessage(f *testing.F) {
 	f.Add(uint8(KindWave), uint16(64), []byte{0xaa, 0x05})
 	f.Add(uint8(KindNear), uint16(300), []byte{0xff, 0xff, 0x01})
@@ -147,27 +151,26 @@ func FuzzWireMessage(f *testing.F) {
 			n = 1
 		}
 		m := NewKindMessage(k)
-		// Bound-parameterized kinds: the decoder's bound is configuration,
-		// like n; derive it from the fuzzed size.
-		bound := 4 * n
-		switch wm := m.(type) {
-		case *msgWDist:
-			wm.Bound = bound
-		case *msgWMax:
-			wm.Bound = bound
-		case *msgCutSum:
-			wm.Bound = bound
-		case *msgSkelUp:
-			wm.Slots = n
-			wm.Bound = bound
-		case *msgSkelDown:
-			wm.Slots = n
-			wm.Bound = bound
-		}
+		// Configured kinds: the decoder's bound is configuration, like n;
+		// derive it from the fuzzed size.
+		configure(m, 4*n, n)
 		words := wordsFromBytes(data)
 		r := Reader{N: n, words: words, off: 0, end: 8 * len(data)}
 		m.UnmarshalWire(&r) // must not panic, whatever the bytes
-		if r.Err() != nil || r.Remaining() != 0 {
+		clean := r.Err() == nil && r.Remaining() == 0
+		// A built-in kind's packed decode must accept exactly what the
+		// generic decode accepts, into the identical message.
+		if pm, ok := NewKindMessage(k).(schemaMessage); ok && KindBits+8*len(data) <= 64 {
+			configure(pm, 4*n, n)
+			var payload uint64
+			if len(data) > 0 {
+				payload = words[0]
+			}
+			if got := pm.layout(n).unpack(payload, 8*len(data)); got != clean || clean && !reflect.DeepEqual(m, pm) {
+				t.Fatalf("%v n=%d % x: generic clean=%v %+v, unpack=%v %+v", k, n, data, clean, m, got, pm)
+			}
+		}
+		if !clean {
 			return // malformed or partial: correctly reported, nothing to re-check
 		}
 		// Clean decode: the codec pair must round-trip.
@@ -181,20 +184,7 @@ func FuzzWireMessage(f *testing.F) {
 			t.Fatalf("%v: decoded %d bits, re-encoded %d", k, 8*len(data), w.Len())
 		}
 		m2 := NewKindMessage(k)
-		switch wm := m2.(type) {
-		case *msgWDist:
-			wm.Bound = bound
-		case *msgWMax:
-			wm.Bound = bound
-		case *msgCutSum:
-			wm.Bound = bound
-		case *msgSkelUp:
-			wm.Slots = n
-			wm.Bound = bound
-		case *msgSkelDown:
-			wm.Slots = n
-			wm.Bound = bound
-		}
+		configure(m2, 4*n, n)
 		r2 := Reader{N: n, words: w.words, off: 0, end: w.Len()}
 		m2.UnmarshalWire(&r2)
 		if r2.Err() != nil || !reflect.DeepEqual(m, m2) {

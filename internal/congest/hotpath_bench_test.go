@@ -5,9 +5,11 @@ package congest
 // epoch-stamped ledgers, SoA staging — and BenchmarkRecvShard times the
 // receive half — chain gathering into a reusable inbox. Both report
 // allocations; TestHotPathSteadyStateAllocs pins the steady state at zero.
+// One op of either is one full engine round over the whole graph, so ns/op
+// tracks the per-round cost the engines pay, not a single message.
 //
-// One benchmark op is one full engine round over the whole graph, so
-// ns/op tracks the per-round cost the engines pay, not a single message.
+// BenchmarkWireCodec is the per-message view: one op is one pack or one
+// unpack call of a layout-derived codec.
 
 import (
 	"testing"
@@ -89,10 +91,11 @@ func BenchmarkOutbox(b *testing.B) {
 		run(b, func(f *hotPathFixture) { f.stageRound(tx) })
 	})
 	b.Run("generic/broadcast", func(b *testing.B) {
-		// msgCutSum is Bound-parameterized (no fixed width), so under
-		// strict accounting it takes the generic MarshalWire path — the
-		// before-side of the packed fast path.
-		tx := &msgCutSum{Sum: 9, Bound: 4 * n}
+		// RawMessage declares no layout, so it takes the generic
+		// MarshalWire path plus the strict DeclaredBits cross-check — the
+		// before-side of the packed fast path, at the 13-bit payload a
+		// configured kind with bound 4n would pack.
+		tx := &RawMessage{Width: 13}
 		run(b, func(f *hotPathFixture) {
 			f.round++
 			f.obs[0].beginRound(f.round)
@@ -102,6 +105,46 @@ func BenchmarkOutbox(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkWireCodec times the codec work per message of the encode and
+// decode fast paths: one layout pack or unpack call, dispatched through the
+// schemaMessage interface like the engine's. msgWave is a fixed-width
+// two-id kind (the wave of exact diameter decodes tens of millions of them
+// per run), msgActivate the one-id kind of the BFS, and msgSkelUp a
+// configured kind whose bounds are read per message.
+func BenchmarkWireCodec(b *testing.B) {
+	const n = 1024
+	for _, c := range []struct {
+		name   string
+		tx, rx schemaMessage
+	}{
+		{"wave", &msgWave{Tau: 3, Delta: 5}, new(msgWave)},
+		{"activate", &msgActivate{Dist: 777}, new(msgActivate)},
+		{"skel-up", &msgSkelUp{Slot: 7, Val: 451, Slots: 20, Bound: 450}, &msgSkelUp{Slots: 20, Bound: 450}},
+	} {
+		payload, width, ok := c.tx.layout(n).pack()
+		if !ok {
+			b.Fatalf("%s: pack refused", c.name)
+		}
+		b.Run(c.name+"/pack", func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				p, _, _ := c.tx.layout(n).pack()
+				sink += p
+			}
+			if sink != uint64(b.N)*payload {
+				b.Fatal("pack result changed")
+			}
+		})
+		b.Run(c.name+"/unpack", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !c.rx.layout(n).unpack(payload, width) {
+					b.Fatal("unpack refused")
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkRecvShard(b *testing.B) {

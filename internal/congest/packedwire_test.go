@@ -1,10 +1,12 @@
 package congest
 
-// Differential tests for the word-packed wire fast path: the PackWire /
-// UnpackWire pair of every registered kind must agree bit-for-bit with the
+// Differential tests for the word-packed wire fast path: the pack / unpack
+// pair each built-in kind's layout derives must agree bit-for-bit with the
 // generic MarshalWire / UnmarshalWire oracle — on valid messages (both the
-// encode and the decode half) and on every checked-in fuzz corpus entry
-// (whatever the generic path refuses, the packed path must refuse too).
+// encode and the decode half), on degenerate configurations and on every
+// checked-in fuzz corpus entry (whatever the generic path refuses, the
+// packed path must refuse too). TestKindWidthFormulas checks the derived
+// widths against formulas written out independently of the layouts.
 
 import (
 	"os"
@@ -15,31 +17,25 @@ import (
 	"testing"
 )
 
-// configureBounds installs the configuration fields (never transmitted) that
-// Bound-parameterized codecs need before decoding, mirroring the engine's
-// receive-side setup and the FuzzWireMessage convention (bound = 4n).
-func configureBounds(m WireMessage, n int) {
-	bound := 4 * n
-	switch wm := m.(type) {
-	case *msgWDist:
-		wm.Bound = bound
-	case *msgWMax:
-		wm.Bound = bound
-	case *msgCutSum:
-		wm.Bound = bound
-	case *msgSkelUp:
-		wm.Slots = n
-		wm.Bound = bound
-	case *msgSkelDown:
-		wm.Slots = n
-		wm.Bound = bound
+// configure installs the field-width configuration (never transmitted) a
+// configured kind needs before decoding, mirroring the engine's
+// receive-side setup: its Bound, and its Slots where it has one. Other
+// kinds are left untouched. The wire tests and fuzzers use bound = 4n and
+// slots = n unless a case states its own.
+func configure(m WireMessage, bound, slots int) {
+	if c, ok := m.(configured); ok {
+		b, s := c.config()
+		*b = bound
+		if s != nil {
+			*s = slots
+		}
 	}
 }
 
 // packedCases returns, for network size n, representative valid messages of
-// every kind that implements PackedWire, with fields at the extremes of
-// their declared ranges. Bound-parameterized kinds use bound = 4n so the
-// values line up with configureBounds on the decode side.
+// every built-in kind, with fields at the extremes of their declared ranges.
+// Configured kinds use bound = 4n and slots = n so the values line up with
+// configure(m, 4n, n) on the decode side.
 func packedCases(n int) []WireMessage {
 	b := 4 * n
 	var sum int
@@ -66,8 +62,8 @@ func packedCases(n int) []WireMessage {
 		&msgWDist{Dist: b, Bound: b},
 		&msgWMax{Value: b, Witness: n - 1, Bound: b},
 		&msgAdj{ID: n - 1},
-		&msgSide{Marked: true},
-		&msgSide{Marked: false},
+		&msgSide{Side: 1},
+		&msgSide{Side: 0},
 		&msgCutSum{Sum: b, Bound: b},
 		&msgSkelUp{Slot: n - 1, Val: b + 1, Slots: n, Bound: b},
 		&msgSkelDown{Slot: 0, Val: 0, Slots: n, Bound: b},
@@ -75,18 +71,17 @@ func packedCases(n int) []WireMessage {
 }
 
 // TestPackedWireMatchesGeneric checks both halves of the fast path against
-// the generic oracle for every PackedWire kind across a sweep of network
-// sizes: PackWire must reproduce the exact bits MarshalWire lays down (tag
-// included), and UnpackWire must recover the exact message UnmarshalWire
-// does.
+// the generic oracle for every built-in kind across a sweep of network
+// sizes: pack must reproduce the exact bits MarshalWire lays down (tag
+// included), and unpack must recover the exact message UnmarshalWire does.
 func TestPackedWireMatchesGeneric(t *testing.T) {
 	covered := map[Kind]bool{}
 	for _, n := range []int{1, 2, 3, 7, 40, 1000, 65536} {
 		for _, m := range packedCases(n) {
 			k := m.WireKind()
-			p, ok := m.(PackedWire)
+			s, ok := m.(schemaMessage)
 			if !ok {
-				t.Fatalf("n=%d %v: packedCases holds a kind without PackWire", n, k)
+				t.Fatalf("n=%d %v: packedCases holds a kind without a layout", n, k)
 			}
 			covered[k] = true
 
@@ -102,9 +97,9 @@ func TestPackedWireMatchesGeneric(t *testing.T) {
 				continue // fast path not applicable at this size
 			}
 
-			payload, width, pok := p.PackWire(n)
+			payload, width, pok := s.layout(n).pack()
 			if !pok {
-				t.Fatalf("n=%d %v: PackWire refuses valid case %+v", n, k, m)
+				t.Fatalf("n=%d %v: pack refuses valid case %+v", n, k, m)
 			}
 			if KindBits+width != w.Len() {
 				t.Fatalf("n=%d %v: packed width %d+%d, generic %d bits", n, k, KindBits, width, w.Len())
@@ -117,18 +112,18 @@ func TestPackedWireMatchesGeneric(t *testing.T) {
 				t.Fatalf("n=%d %v %+v: packed word %#x, generic bits %#x", n, k, m, word, got)
 			}
 
-			// Decode half: UnpackWire vs UnmarshalWire from the same bits.
+			// Decode half: unpack vs UnmarshalWire from the same bits.
 			gm := NewKindMessage(k)
-			configureBounds(gm, n)
+			configure(gm, 4*n, n)
 			r := Reader{N: n, words: w.words, off: KindBits, end: w.Len()}
 			gm.UnmarshalWire(&r)
 			if r.Err() != nil || r.Remaining() != 0 {
 				t.Fatalf("n=%d %v: oracle decode of own encoding failed: err=%v rem=%d", n, k, r.Err(), r.Remaining())
 			}
 			pm := NewKindMessage(k)
-			configureBounds(pm, n)
-			if !pm.(PackedWire).UnpackWire(n, payload, width) {
-				t.Fatalf("n=%d %v: UnpackWire refuses its own packing of %+v", n, k, m)
+			configure(pm, 4*n, n)
+			if !pm.(schemaMessage).layout(n).unpack(payload, width) {
+				t.Fatalf("n=%d %v: unpack refuses its own packing of %+v", n, k, m)
 			}
 			if !reflect.DeepEqual(gm, pm) {
 				t.Fatalf("n=%d %v: generic decode %+v, packed decode %+v", n, k, gm, pm)
@@ -136,8 +131,8 @@ func TestPackedWireMatchesGeneric(t *testing.T) {
 		}
 	}
 	for _, k := range RegisteredKinds() {
-		if _, isPacked := NewKindMessage(k).(PackedWire); isPacked && !covered[k] {
-			t.Errorf("%v implements PackedWire but packedCases has no case for it", k)
+		if _, isSchema := NewKindMessage(k).(schemaMessage); isSchema && !covered[k] {
+			t.Errorf("%v declares a layout but packedCases has no case for it", k)
 		}
 	}
 }
@@ -206,9 +201,9 @@ func loadWireCorpus(t *testing.T) []corpusEntry {
 
 // TestPackedWireCorpusDifferential replays every checked-in FuzzWireMessage
 // corpus entry (plus the in-code seeds of that harness) through both decode
-// paths: when the generic oracle decodes cleanly, UnpackWire must accept and
+// paths: when the generic oracle decodes cleanly, unpack must accept and
 // produce the identical message — and re-pack to the identical bits; when
-// the oracle refuses, UnpackWire must refuse too, so the engine's fallback
+// the oracle refuses, unpack must refuse too, so the engine's fallback
 // keeps error identity.
 func TestPackedWireCorpusDifferential(t *testing.T) {
 	entries := loadWireCorpus(t)
@@ -245,14 +240,14 @@ func TestPackedWireCorpusDifferential(t *testing.T) {
 			n = 1
 		}
 		gm := NewKindMessage(k)
-		if _, isPacked := gm.(PackedWire); !isPacked {
+		if _, isSchema := gm.(schemaMessage); !isSchema {
 			continue // dynamic-payload kinds (raw) have no fast path
 		}
 		width := 8 * len(e.data)
 		if KindBits+width > 64 {
 			continue // the engine never takes the fast path at this size
 		}
-		configureBounds(gm, n)
+		configure(gm, 4*n, n)
 		r := Reader{N: n, words: wordsFromBytes(e.data), off: 0, end: width}
 		gm.UnmarshalWire(&r)
 		clean := r.Err() == nil && r.Remaining() == 0
@@ -262,17 +257,17 @@ func TestPackedWireCorpusDifferential(t *testing.T) {
 			payload |= uint64(b) << (8 * uint(i))
 		}
 		pm := NewKindMessage(k)
-		configureBounds(pm, n)
-		got := pm.(PackedWire).UnpackWire(n, payload, width)
+		configure(pm, 4*n, n)
+		got := pm.(schemaMessage).layout(n).unpack(payload, width)
 		if got != clean {
-			t.Errorf("%s (%v, n=%d, % x): generic clean=%v, UnpackWire=%v", e.name, k, n, e.data, clean, got)
+			t.Errorf("%s (%v, n=%d, % x): generic clean=%v, unpack=%v", e.name, k, n, e.data, clean, got)
 			continue
 		}
 		if clean {
 			if !reflect.DeepEqual(gm, pm) {
 				t.Errorf("%s (%v, n=%d): generic decode %+v, packed decode %+v", e.name, k, n, gm, pm)
 			}
-			rp, rw, rok := pm.(PackedWire).PackWire(n)
+			rp, rw, rok := pm.(schemaMessage).layout(n).pack()
 			if !rok || rw != width || rp != payload {
 				t.Errorf("%s (%v, n=%d): re-pack (%#x, %d, %v) of clean decode, want (%#x, %d, true)",
 					e.name, k, n, rp, rw, rok, payload, width)
@@ -286,31 +281,107 @@ func TestPackedWireCorpusDifferential(t *testing.T) {
 	t.Logf("differential-checked %d corpus entries", checked)
 }
 
-// TestRegisterKindWidthTable checks the strict-accounting width table: every
-// kind with a registered fixed width must report exactly DeclaredBits for a
-// fresh message at that size, and the Bound-parameterized kinds must stay
-// dynamic (no entry), since their width is per-message configuration.
-func TestRegisterKindWidthTable(t *testing.T) {
-	for _, n := range []int{1, 2, 40, 1000} {
-		tab := packedWidths(n)
-		for _, k := range RegisteredKinds() {
-			m := NewKindMessage(k)
-			d, sized := m.(BitsDeclarer)
-			entry := int(tab[k])
-			switch k {
-			case KindWDist, KindWMax, KindCutSum, KindSkelUp, KindSkelDown, KindRaw:
-				if entry != 0 {
-					t.Errorf("n=%d %v: dynamic-width kind has table entry %d", n, k, entry)
+// kindWidthFormulas is the independent width oracle: every built-in kind
+// whose width is a function of n alone, with its encoded length (tag
+// included) written out by hand rather than derived from its layout.
+var kindWidthFormulas = map[Kind]func(n int) int{
+	KindActivate:  func(n int) int { return KindBits + BitsForID(n) },
+	KindChild:     func(n int) int { return KindBits },
+	KindEccReport: func(n int) int { return KindBits + BitsForID(n) },
+	KindToken:     func(n int) int { return KindBits + BitsForID(4*n+1) },
+	KindWave:      func(n int) int { return KindBits + 2*BitsForID(4*n+1) },
+	KindMax:       func(n int) int { return KindBits + BitsForID(4*n+1) + BitsForID(n) },
+	KindBcast:     func(n int) int { return KindBits + BitsForID(4*n+1) },
+	KindNear:      func(n int) int { return KindBits + BitsForID(2*n) + BitsForID(n) },
+	KindSum:       func(n int) int { return KindBits + 2*BitsForID(n) },
+	KindPair:      func(n int) int { return KindBits + BitsForID(n) + BitsForID(2*n) },
+	KindSrcMax:    func(n int) int { return KindBits + BitsForID(n) + BitsForID(2*n) },
+	KindAdj:       func(n int) int { return KindBits + BitsForID(n) },
+	KindSide:      func(n int) int { return KindBits + 1 },
+}
+
+// widthSweep is the network-size sweep of the width and compliance tests.
+var widthSweep = []int{1, 2, 3, 7, 40, 1000, 65536, 1 << 24}
+
+// TestKindWidthFormulas checks the fixed-width table derived from the
+// layouts against the hand-written formulas, and that exactly the kinds
+// whose bounds depend on n alone have an entry: configured kinds, raw and
+// test kinds have none, since their widths vary per message.
+func TestKindWidthFormulas(t *testing.T) {
+	for _, k := range RegisteredKinds() {
+		formula, fixed := kindWidthFormulas[k]
+		for _, n := range widthSweep {
+			got, ok := kindWidth(k, n)
+			if ok != fixed {
+				t.Fatalf("%v: fixed-width entry %v, formula table says %v", k, ok, fixed)
+			}
+			if fixed && got != formula(n) {
+				t.Errorf("n=%d %v: derived width %d, formula %d", n, k, got, formula(n))
+			}
+		}
+	}
+	for k := range kindWidthFormulas {
+		if !Registered(k) {
+			t.Errorf("formula for unregistered kind %v", k)
+		}
+	}
+}
+
+// TestPackedWireDegenerateConfig runs both decode paths and both encode
+// paths of every configured kind on degenerate configurations — a bound of
+// -2, -1 or 0 (an empty or negative id range) and 0 or 1 slots: the packed
+// path must accept exactly what the generic path accepts, and produce the
+// same message or bits.
+func TestPackedWireDegenerateConfig(t *testing.T) {
+	const n = 40
+	vals := []int{-1, 0, 1, 2}
+	for _, k := range RegisteredKinds() {
+		if _, ok := NewKindMessage(k).(configured); !ok {
+			continue
+		}
+		for _, bound := range []int{-2, -1, 0} {
+			for _, slots := range []int{0, 1} {
+				// Decode: every payload of up to 8 bits.
+				for width := 0; width <= 8; width++ {
+					for p := uint64(0); p < 1<<uint(width); p++ {
+						gm := NewKindMessage(k)
+						configure(gm, bound, slots)
+						r := Reader{N: n, words: []uint64{p}, end: width}
+						gm.UnmarshalWire(&r)
+						clean := r.Err() == nil && r.Remaining() == 0
+						pm := NewKindMessage(k)
+						configure(pm, bound, slots)
+						got := pm.(schemaMessage).layout(n).unpack(p, width)
+						if got != clean {
+							t.Fatalf("%v bound=%d slots=%d payload %#x/%d: generic clean=%v (err %v), unpack=%v",
+								k, bound, slots, p, width, clean, r.Err(), got)
+						}
+						if clean && !reflect.DeepEqual(gm, pm) {
+							t.Fatalf("%v bound=%d slots=%d: generic decode %+v, packed decode %+v", k, bound, slots, gm, pm)
+						}
+					}
 				}
-			default:
-				if !sized {
-					continue
-				}
-				if _, isPacked := m.(PackedWire); !isPacked {
-					continue // e.g. test-registered kinds without a fast path
-				}
-				if want := d.DeclaredBits(n); entry != want && want <= 64 {
-					t.Errorf("n=%d %v: width table %d, DeclaredBits %d", n, k, entry, want)
+				// Encode: every field value in vals.
+				for _, v0 := range vals {
+					for _, v1 := range vals {
+						m := NewKindMessage(k)
+						configure(m, bound, slots)
+						l := m.(schemaMessage).layout(n)
+						*l.v0 = v0
+						if l.v1 != nil {
+							*l.v1 = v1
+						}
+						var w Writer
+						w.Reset(n)
+						m.MarshalWire(&w)
+						payload, width, ok := l.pack()
+						if ok != (w.Err() == nil) {
+							t.Fatalf("%v bound=%d slots=%d %+v: generic err %v, pack ok=%v", k, bound, slots, m, w.Err(), ok)
+						}
+						if ok && (width != w.Len() || (width > 0 && payload != w.words[0])) {
+							t.Fatalf("%v bound=%d slots=%d %+v: pack (%#x, %d), generic %d bits", k, bound, slots, m, payload, width, w.Len())
+						}
+					}
 				}
 			}
 		}
@@ -318,7 +389,7 @@ func TestRegisterKindWidthTable(t *testing.T) {
 }
 
 // TestPackWireRefusesOutOfRange: a field outside its declared range makes
-// PackWire refuse, so the engine falls back to the generic encoder, which
+// pack refuse, so the engine falls back to the generic encoder, which
 // rejects the message with the canonical range error.
 func TestPackWireRefusesOutOfRange(t *testing.T) {
 	const n = 16
@@ -342,8 +413,8 @@ func TestPackWireRefusesOutOfRange(t *testing.T) {
 		&msgSkelUp{Slot: n, Slots: n, Bound: b},
 		&msgSkelDown{Val: b + 2, Slots: n, Bound: b},
 	} {
-		if _, _, ok := m.(PackedWire).PackWire(n); ok {
-			t.Errorf("%v %+v: PackWire accepted an out-of-range field", m.WireKind(), m)
+		if _, _, ok := m.(schemaMessage).layout(n).pack(); ok {
+			t.Errorf("%v %+v: pack accepted an out-of-range field", m.WireKind(), m)
 		}
 		var w Writer
 		w.Reset(n)

@@ -163,8 +163,8 @@ func TestClassicalEccentricities(t *testing.T) {
 }
 
 // TestWeightedWireWidths pins the weighted wire encodings: the distance
-// field is BitsForID(bound+1) bits, verified against DeclaredBits and
-// against a manual round-trip at the topology's bound.
+// field is BitsForID(bound+1) bits, verified against the size derived from
+// the kind's layout and against a manual round-trip at the topology's bound.
 func TestWeightedWireWidths(t *testing.T) {
 	g := graph.New(5)
 	g.MustAddWeightedEdge(0, 1, 7)
@@ -189,7 +189,7 @@ func TestWeightedWireWidths(t *testing.T) {
 	if got, want := w.Len(), BitsForID(bound+1); got != want {
 		t.Fatalf("encoded %d bits, want %d", got, want)
 	}
-	if got, want := w.Len()+KindBits, tx.DeclaredBits(topo.N()); got != want {
+	if got, want := w.Len()+KindBits, tx.layout(topo.N()).bits(); got != want {
 		t.Fatalf("declared %d bits, encoded+tag %d", want, got)
 	}
 	// Unweighted topologies keep weights nil and bound n-1.

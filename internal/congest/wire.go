@@ -9,8 +9,15 @@ package congest
 //
 //	[ kind tag : KindBits bits ][ payload : message-specific bits ]
 //
-// with payload field widths fixed functions of n (the network size), so
-// every message is O(log n) bits — the CONGEST premise, made literal.
+// Every built-in kind declares its payload once, as a layout: at most two
+// fields, each an id in [0, bound) of BitsForID(bound) bits or a
+// fixed-width counter, with bounds that are functions of n (the network
+// size) or of per-message configuration known a priori (a distance bound,
+// a slot count). The generic codec, the single-word packed codec, the
+// declared size and the fixed-width table are all derived from that one
+// declaration, so they cannot disagree; every message is O(log n) bits —
+// the CONGEST premise, made literal. External kinds implement WireMessage
+// (and optionally BitsDeclarer) by hand and always take the generic path.
 // DESIGN.md ("Wire format") tabulates the encoding of every registered
 // kind.
 
@@ -76,26 +83,10 @@ type BitsDeclarer interface {
 	DeclaredBits(n int) int
 }
 
-// PackedWire is an optional fast-path interface for messages whose whole
-// encoded form — kind tag plus payload — fits one uint64. PackWire returns
-// the payload bits (field order and layout identical to MarshalWire: first
-// field in the lowest bits) and the payload width; UnpackWire is the
-// inverse. Both return ok=false for any value MarshalWire/UnmarshalWire
-// would reject (out-of-range field, corrupt payload, wrong width), in which
-// case the engine falls back to the generic codec path — which produces the
-// canonical error — so the fast path never invents its own failure modes.
-// MarshalWire stays the oracle: the differential tests assert the two
-// encodings are bit-identical for every registered kind.
-type PackedWire interface {
-	PackWire(n int) (payload uint64, width int, ok bool)
-	UnpackWire(n int, payload uint64, width int) bool
-}
-
 // kindInfo is one registry entry.
 type kindInfo struct {
-	name  string
-	new   func() WireMessage
-	width func(n int) int // fixed total encoded width (tag included); nil = dynamic
+	name string
+	new  func() WireMessage
 }
 
 var kindRegistry [numKinds]kindInfo
@@ -116,39 +107,6 @@ func RegisterKind(k Kind, name string, factory func() WireMessage) {
 		panic(fmt.Sprintf("congest: kind %d registered twice (%s, %s)", k, kindRegistry[k].name, name))
 	}
 	kindRegistry[k] = kindInfo{name: name, new: factory}
-}
-
-// RegisterKindWidth records that every message of kind k encodes to exactly
-// width(n) bits (kind tag included) on a network of n vertices — i.e. the
-// width is a pure function of n, with no per-message parameters. The
-// formula must equal the kind's DeclaredBits; the engine precomputes it per
-// network so the strict-accounting cross-check on the packed encode path is
-// one integer compare instead of an interface call. Kinds with
-// message-dependent widths (Bound-parameterized codecs, RawMessage) must
-// not register one. Like RegisterKind, call only from init functions.
-func RegisterKindWidth(k Kind, width func(n int) int) {
-	if !Registered(k) {
-		panic(fmt.Sprintf("congest: width for unregistered kind %d", k))
-	}
-	if kindRegistry[k].width != nil {
-		panic(fmt.Sprintf("congest: kind %d (%s) width registered twice", k, kindRegistry[k].name))
-	}
-	kindRegistry[k].width = width
-}
-
-// packedWidths precomputes, for network size n, the fixed total encoded
-// width of every width-registered kind. Entry 0 means "no fixed width"
-// (unregistered, dynamic, or wider than one word): the strict cross-check
-// then takes the generic path.
-func packedWidths(n int) (t [numKinds]uint8) {
-	for k := range kindRegistry {
-		if wf := kindRegistry[k].width; wf != nil {
-			if wb := wf(n); wb > 0 && wb <= 64 {
-				t[k] = uint8(wb)
-			}
-		}
-	}
-	return t
 }
 
 // Registered reports whether k has been registered.
@@ -421,6 +379,173 @@ func BitsForID(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
+}
+
+// layout is a built-in kind's payload declaration: at most two fields,
+// field 0 in the lowest bits. Each field is an id in [0, bound) written in
+// BitsForID(bound) bits, except that the single field of a counter layout
+// is a non-negative counter of exactly b0 bits. The struct is four words —
+// the most the compiler keeps in registers rather than memory — which is
+// why a counter is marked in the otherwise unused b1.
+type layout struct {
+	v0, v1 *int // field values; nil for an absent field (v1 nil when v0 is)
+	b0, b1 int  // id bounds; b0 is a counter's width, b1 = isCounter marks one
+}
+
+// isCounter in b1 of a one-field layout marks field 0 as a counter.
+const isCounter = -1
+
+// id declares a one-field layout: an id in [0, bound).
+func id(v *int, bound int) layout { return layout{v0: v, b0: bound} }
+
+// idPair declares a two-field layout of ids, v0 in the low bits.
+func idPair(v0 *int, b0 int, v1 *int, b1 int) layout {
+	return layout{v0: v0, b0: b0, v1: v1, b1: b1}
+}
+
+// counter declares a one-field layout: a non-negative counter of width bits.
+func counter(v *int, width int) layout { return layout{v0: v, b0: width, b1: isCounter} }
+
+// schemaMessage is a built-in kind: its layout at network size n is its
+// whole codec. The engine dispatches on this interface to the packed
+// single-word path; the kind's MarshalWire and UnmarshalWire forward to the
+// generic codec below.
+type schemaMessage interface {
+	WireMessage
+	layout(n int) layout
+}
+
+// configured marks a built-in kind whose field bounds read per-message
+// configuration (never transmitted, known a priori by every node like n)
+// instead of n alone. It returns that configuration: the distance Bound,
+// and the slot count where the kind has one (nil otherwise). Such a kind
+// has no entry in the fixed-width table.
+type configured interface {
+	config() (bound, slots *int)
+}
+
+// hasCounter reports whether field 0 is a counter rather than an id.
+func (l layout) hasCounter() bool { return l.v1 == nil && l.b1 == isCounter }
+
+// bits returns the encoded length, kind tag included: the derived
+// DeclaredBits of the kind.
+func (l layout) bits() int {
+	w := KindBits
+	switch {
+	case l.v0 == nil:
+	case l.hasCounter():
+		w += l.b0
+	default:
+		w += BitsForID(l.b0)
+	}
+	if l.v1 != nil {
+		w += BitsForID(l.b1)
+	}
+	return w
+}
+
+// marshal is the generic encoder: the Writer validates every field, so an
+// out-of-range value fails with the canonical WriteID/WriteCount error.
+func (l layout) marshal(w *Writer) {
+	switch {
+	case l.v0 == nil:
+		return
+	case l.hasCounter():
+		w.WriteCount(*l.v0, l.b0)
+	default:
+		w.WriteID(*l.v0, l.b0)
+	}
+	if l.v1 != nil {
+		w.WriteID(*l.v1, l.b1)
+	}
+}
+
+// unmarshal is the generic decoder; ReadID rejects out-of-range ids.
+func (l layout) unmarshal(r *Reader) {
+	switch {
+	case l.v0 == nil:
+		return
+	case l.hasCounter():
+		*l.v0 = int(r.ReadUint(l.b0))
+	default:
+		*l.v0 = r.ReadID(l.b0)
+	}
+	if l.v1 != nil {
+		*l.v1 = r.ReadID(l.b1)
+	}
+}
+
+// pack returns the payload as one value (bit-identical to marshal) and its
+// width, for messages whose tag plus payload fit one uint64. ok is false
+// for anything marshal would reject and for wider messages; the engine then
+// takes the generic path, which produces the canonical encoding or error.
+func (l layout) pack() (payload uint64, width int, ok bool) {
+	const maxWidth = 64 - KindBits
+	switch {
+	case l.v1 != nil:
+		x0, x1, w0 := *l.v0, *l.v1, BitsForID(l.b0)
+		width = w0 + BitsForID(l.b1)
+		if x0 < 0 || x0 >= l.b0 || x1 < 0 || x1 >= l.b1 || width > maxWidth {
+			return 0, 0, false
+		}
+		return uint64(x0) | uint64(x1)<<uint(w0&63), width, true
+	case l.v0 == nil:
+		return 0, 0, true
+	case l.hasCounter():
+		x := *l.v0
+		if x < 0 || l.b0 > maxWidth || uint64(x)>>uint(l.b0) != 0 {
+			return 0, 0, false
+		}
+		return uint64(x), l.b0, true
+	default:
+		x := *l.v0
+		width = BitsForID(l.b0)
+		if x < 0 || x >= l.b0 || width > maxWidth {
+			return 0, 0, false
+		}
+		return uint64(x), width, true
+	}
+}
+
+// unpack is the inverse of pack for a payload of width bits (payload below
+// 1<<width, width at most 64-KindBits). It accepts exactly the payloads
+// unmarshal decodes cleanly: on false the message is untouched and the
+// engine's generic fallback reports the canonical error.
+func (l layout) unpack(payload uint64, width int) bool {
+	switch {
+	case l.v1 != nil:
+		w0 := uint(BitsForID(l.b0)) & 63 // BitsForID(int) <= 63; the mask tells the compiler
+		x0, x1 := int(payload&(1<<w0-1)), int(payload>>w0)
+		if width != int(w0)+BitsForID(l.b1) || x0 >= l.b0 || x1 >= l.b1 {
+			return false
+		}
+		*l.v0, *l.v1 = x0, x1
+	case l.v0 == nil:
+		return width == 0
+	case l.hasCounter():
+		if width != l.b0 {
+			return false
+		}
+		*l.v0 = int(payload)
+	default:
+		if width != BitsForID(l.b0) || int(payload) >= l.b0 {
+			return false
+		}
+		*l.v0 = int(payload)
+	}
+	return true
+}
+
+// kindWidth returns the fixed-width table entry of kind k at network size
+// n: the encoded length (tag included) shared by every message of the kind.
+// ok is false for a kind without one — an external or dynamic-payload kind,
+// or a configured kind, whose width depends on the message.
+func kindWidth(k Kind, n int) (width int, ok bool) {
+	m, isSchema := NewKindMessage(k).(schemaMessage)
+	if _, cfg := m.(configured); !isSchema || cfg {
+		return 0, false
+	}
+	return m.layout(n).bits(), true
 }
 
 // RawMessage is an opaque payload of a declared width: Width zero bits

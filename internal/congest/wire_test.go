@@ -154,7 +154,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		&msgWDist{Dist: 300, Bound: 450},
 		&msgWMax{Value: 301, Witness: 42, Bound: 450},
 		&msgAdj{ID: 42},
-		&msgSide{Marked: true},
+		&msgSide{Side: 1},
 		&msgCutSum{Sum: 512, Bound: 600},
 		&msgSkelUp{Slot: 7, Val: 451, Slots: 20, Bound: 450},
 		&msgSkelDown{Slot: 19, Val: 0, Slots: 20, Bound: 450},
@@ -174,34 +174,31 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 			t.Fatalf("%v: %v", k, w.Err())
 		}
 		bits := w.Len()
-		if d, ok := m.(BitsDeclarer); ok {
+		switch d := m.(type) {
+		case schemaMessage:
+			if want := d.layout(n).bits(); want != bits {
+				t.Errorf("%v: layout declares %d bits, encoded %d", k, want, bits)
+			}
+		case BitsDeclarer:
 			if want := d.DeclaredBits(n); want != bits {
 				t.Errorf("%v: declared %d bits, encoded %d", k, want, bits)
 			}
-		} else {
-			t.Errorf("%v: shipped kind does not document its size via DeclaredBits", k)
+		default:
+			t.Errorf("%v: shipped kind documents its size neither by layout nor by DeclaredBits", k)
 		}
 		view := w.view(0, bits)
 		if view.Kind() != k {
 			t.Errorf("%v: view decodes tag %v", k, view.Kind())
 		}
 		got := NewKindMessage(k)
-		// Bound-parameterized kinds (the weighted suite): the decoder is
-		// configured with the same bound as the encoder — in the programs it
-		// is per-node configuration known a priori, like n.
-		switch s := m.(type) {
-		case *msgWDist:
-			got.(*msgWDist).Bound = s.Bound
-		case *msgWMax:
-			got.(*msgWMax).Bound = s.Bound
-		case *msgCutSum:
-			got.(*msgCutSum).Bound = s.Bound
-		case *msgSkelUp:
-			got.(*msgSkelUp).Slots = s.Slots
-			got.(*msgSkelUp).Bound = s.Bound
-		case *msgSkelDown:
-			got.(*msgSkelDown).Slots = s.Slots
-			got.(*msgSkelDown).Bound = s.Bound
+		// Configured kinds: the decoder is configured like the encoder — in
+		// the programs it is per-node configuration known a priori, like n.
+		if c, ok := m.(configured); ok {
+			bound, slots := c.config()
+			if slots == nil {
+				slots = new(int)
+			}
+			configure(got, *bound, *slots)
 		}
 		var r Reader
 		view.payloadReader(&r, n)
@@ -418,28 +415,14 @@ func TestEngineSteadyStateAllocsZero(t *testing.T) {
 	}
 }
 
-// TestRegisterKindRefusals: registering a kind twice, out of range, or a
-// width for an unregistered or already-widthed kind panics before touching
-// the registry.
+// TestRegisterKindRefusals: registering a kind twice or out of range panics
+// before touching the registry.
 func TestRegisterKindRefusals(t *testing.T) {
-	unregistered := Kind(0)
-	for k := Kind(1); int(k) < numKinds; k++ {
-		if !Registered(k) {
-			unregistered = k
-			break
-		}
-	}
-	if unregistered == 0 {
-		t.Fatal("no free kind left to probe")
-	}
 	factory := func() WireMessage { return new(RawMessage) }
-	width := func(n int) int { return KindBits + BitsForID(n) }
 	for name, register := range map[string]func(){
-		"kind twice":         func() { RegisterKind(KindRaw, "raw again", factory) },
-		"invalid kind":       func() { RegisterKind(kindInvalid, "invalid", factory) },
-		"kind out of range":  func() { RegisterKind(Kind(numKinds), "too big", factory) },
-		"width unregistered": func() { RegisterKindWidth(unregistered, width) },
-		"width twice":        func() { RegisterKindWidth(KindActivate, width) },
+		"kind twice":        func() { RegisterKind(KindRaw, "raw again", factory) },
+		"invalid kind":      func() { RegisterKind(kindInvalid, "invalid", factory) },
+		"kind out of range": func() { RegisterKind(Kind(numKinds), "too big", factory) },
 	} {
 		func() {
 			defer func() {
@@ -450,7 +433,7 @@ func TestRegisterKindRefusals(t *testing.T) {
 			register()
 		}()
 	}
-	if Registered(unregistered) {
-		t.Errorf("kind %d became registered by a refused registration", unregistered)
+	if got := KindRaw.String(); got != "raw" {
+		t.Errorf("refused re-registration renamed kind raw to %q", got)
 	}
 }
