@@ -167,11 +167,14 @@ type BroadcastNode struct {
 // NewBroadcastNode builds the program for one node; value is ignored except
 // at the root.
 func NewBroadcastNode(parent int, children []int, value int) *BroadcastNode {
-	b := &BroadcastNode{Parent: parent, Children: append([]int(nil), children...), Value: value}
-	if parent < 0 {
-		b.have = true
-	}
-	return b
+	b := broadcastNode(parent, append([]int(nil), children...), value)
+	return &b
+}
+
+// broadcastNode is the constructed program; children is kept as given
+// (like convergecastMaxNode).
+func broadcastNode(parent int, children []int, value int) BroadcastNode {
+	return BroadcastNode{Parent: parent, Children: children, Value: value, have: parent < 0}
 }
 
 // BcastValue is the Reset params of a broadcast session: the value the root

@@ -151,8 +151,19 @@ func (b *BFSNode) readyToReport() bool {
 
 func (b *BFSNode) subtreeMax() int { return max(b.Dist, b.reportMax) }
 
-// Receive implements Node.
+// Receive implements Node. All child notifications arrive in one inbox
+// (see the timer below), so they are counted first and the child list is
+// carved from the worker's slab at its final length: no per-vertex growth.
 func (b *BFSNode) Receive(env *Env, inbox []Inbound) {
+	kids := 0
+	for i := range inbox {
+		if inbox[i].Kind == KindChild {
+			kids++
+		}
+	}
+	if kids > 0 {
+		b.Children = append(env.slab.ints(len(b.Children) + kids)[:0], b.Children...)
+	}
 	for i := range inbox {
 		in := &inbox[i]
 		switch in.Kind {

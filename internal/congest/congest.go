@@ -489,7 +489,35 @@ type Env struct {
 	Neighbors []int // ascending; must not be modified
 	Round     int   // current round, starting at 1
 
-	rd Reader // the worker's decode scratch used by Inbound.Decode
+	rd   Reader   // the worker's decode scratch used by Inbound.Decode
+	slab *intSlab // the worker's int slab (see intSlab); nil outside Run
+}
+
+// intSlab carves int slices out of append-only chunks, so the per-vertex
+// lists programs build in a run (BFS child lists) cost one allocation
+// per chunk instead of one per vertex. A carved slice has len == cap: an
+// append past it reallocates instead of writing into the next carve. The
+// slab never rewinds, so memory it handed out — a child list that escaped
+// into a PreInfo — is never handed out again, across the executions of a
+// persistent Session engine too.
+type intSlab struct {
+	free  []int // unused tail of the current chunk
+	chunk int   // chunk length: min(4096, n)
+}
+
+// ints returns k zeroed ints with len == cap == k. A nil slab (the
+// per-vertex Envs of RunReference) and a request longer than a chunk get
+// an exact allocation.
+func (s *intSlab) ints(k int) []int {
+	if s == nil || k > s.chunk {
+		return make([]int, k)
+	}
+	if k > len(s.free) {
+		s.free = make([]int, s.chunk)
+	}
+	out := s.free[:k:k]
+	s.free = s.free[k:]
+	return out
 }
 
 // Node is a per-node program.
@@ -739,8 +767,10 @@ type workerState struct {
 
 	// env is the Env handed to every program call this worker makes,
 	// refilled per vertex by envAt; its Reader is the worker's private
-	// decode scratch, so decoding stays race-free.
-	env Env
+	// decode scratch and its slab points at slab, so decoding and carving
+	// stay race-free.
+	env  Env
+	slab intSlab
 
 	// Receive-half accumulators.
 	maxStateBits int
@@ -775,7 +805,8 @@ func newEngine(nw *Network) *engine {
 	for w := 0; w < e.k; w++ {
 		e.ws[w].outbox = newOutbox(nw, n)
 		e.obs[w] = e.ws[w].outbox
-		e.ws[w].env = Env{N: n, rd: Reader{N: n}}
+		e.ws[w].slab.chunk = min(4096, n)
+		e.ws[w].env = Env{N: n, rd: Reader{N: n}, slab: &e.ws[w].slab}
 		e.ws[w].heads = make([]int32, e.k)
 	}
 	if nw.observer != nil {
@@ -789,7 +820,7 @@ func newEngine(nw *Network) *engine {
 			always = append(always, int32(v))
 		}
 	}
-	e.fr = newFrontierState(n, e.k, always, nw.nodes)
+	e.fr = newFrontierState(n, e.k, always)
 	if e.k > 1 {
 		e.phase = make([]chan int, e.k)
 		for w := 0; w < e.k; w++ {

@@ -282,7 +282,7 @@ func TestAutoWorkersOwnShards(t *testing.T) {
 				t.Errorf("n=%d procs=%d: autoWorkers = %d, want in [1, %d]", n, procs, k, procs)
 				continue
 			}
-			fr := newFrontierState(n, k, nil, nil)
+			fr := newFrontierState(n, k, nil)
 			if lo, hi := fr.shardWords(k - 1); lo >= hi {
 				t.Errorf("n=%d procs=%d: worker %d of %d owns no shard", n, procs, k-1, k)
 			}

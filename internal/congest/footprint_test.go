@@ -1,12 +1,13 @@
 package congest
 
 // Tests for the engine's per-vertex footprint: the BFS convergecast's
-// report count and running maximum, the one Env per worker that the engine
-// refills for every program call, and the per-sender bandwidth ledger
-// indexed by port (position in the sender's neighbor row) and sized to the
-// maximum degree. None of them may show in the results: outputs, Metrics
-// and error texts stay identical to RunReference, which keeps its own
-// per-vertex Envs.
+// report count and running maximum, the BFS child lists carved from the
+// worker's int slab, the slab-built preprocessing programs, the one Env
+// per worker that the engine refills for every program call, and the
+// per-sender bandwidth ledger indexed by port (position in the sender's
+// neighbor row) and sized to the maximum degree. None of them may show in
+// the results: outputs, Metrics and error texts stay identical to
+// RunReference, which keeps its own per-vertex Envs.
 
 import (
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qcongest/internal/graph"
 )
@@ -108,37 +110,13 @@ func TestBFSConvergecastIdentity(t *testing.T) {
 	})
 
 	t.Run("footprint", func(t *testing.T) {
-		// A single-shot NewNetworkOn+Run allocates two objects per vertex
-		// (the program and its Children) plus O(1) engine objects. Bytes
-		// per vertex: measured ~196 at one worker, and each extra worker
-		// adds only its 16-byte delivery-chain head per vertex. A table of
-		// n Envs (112 bytes per vertex) breaks the first bound; an n-sized
-		// edge ledger per worker (16 more bytes per vertex per worker)
-		// breaks the second.
-		const (
-			maxMallocsPerVertex    = 2.1
-			maxBytesPerVertex      = 224
-			maxBytesPerExtraWorker = 24
-		)
 		topo, err := NewTopology(graph.Grid(128, 128))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := float64(topo.N())
-		measure := func(k int) (mallocs, bytes float64) {
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			nw := NewNetworkOn(topo, func(int) Node { return NewBFSNode(0) }, WithWorkers(k))
-			if err := nw.Run(4*128 + 16); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
-		}
 		bytesAt := map[int]float64{}
 		for _, k := range []int{1, 3} {
-			mallocs, bytes := measure(k)
+			mallocs, bytes := bfsFootprint(t, topo, (*Network).Run, k)
 			t.Logf("w%d: %.3f mallocs, %.1f bytes per vertex", k, mallocs, bytes)
 			if mallocs > maxMallocsPerVertex {
 				t.Errorf("w%d: %.3f mallocs per vertex, want <= %v", k, mallocs, maxMallocsPerVertex)
@@ -150,6 +128,147 @@ func TestBFSConvergecastIdentity(t *testing.T) {
 		}
 		if per := (bytesAt[3] - bytesAt[1]) / 2; per > maxBytesPerExtraWorker {
 			t.Errorf("each extra worker costs %.1f bytes per vertex, want <= %d", per, maxBytesPerExtraWorker)
+		}
+	})
+}
+
+// Per-vertex bounds of a single-shot NewNetworkOn+Run of the BFS on the
+// 128×128 grid. It allocates one object per vertex, the caller's program;
+// the engine and the Children lists allocate O(n/4096) times (the lists
+// are carved from the worker's int slab). Bytes per vertex were measured
+// at 164.3 with one worker: the program 112, nodes 16, dest 16, wake 8,
+// children 8, done 1. Each extra worker adds only its 16-byte delivery-
+// chain head per vertex. A Children append per vertex breaks the malloc
+// bound; a per-vertex interface table (16 bytes each) or a table of n
+// Envs (120 bytes per vertex) breaks the byte bound; an n-sized edge
+// ledger per worker (16 more bytes per vertex per worker) breaks the
+// per-worker bound. The bounds may tighten, never loosen.
+const (
+	maxMallocsPerVertex    = 1.1
+	maxBytesPerVertex      = 180
+	maxBytesPerExtraWorker = 24
+)
+
+// allocsPerVertex returns the mallocs and bytes f allocates, per vertex of
+// an n-vertex network.
+func allocsPerVertex(n int, f func()) (mallocs, bytes float64) {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// bfsFootprint measures a single-shot BFS from vertex 0 on topo at k
+// workers, the network's construction included.
+func bfsFootprint(t *testing.T, topo *Topology, exec func(*Network, int) error, k int) (mallocs, bytes float64) {
+	t.Helper()
+	return allocsPerVertex(topo.N(), func() {
+		nw := NewNetworkOn(topo, func(int) Node { return NewBFSNode(0) }, WithWorkers(k))
+		if err := exec(nw, 8*topo.N()+16); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestPreprocessFootprint pins the preprocessing's allocations: leader
+// election, BFS and broadcast place their programs in one slab per phase,
+// and the BFS child lists come from the engine's int slab, so PreprocessOn
+// allocates O(n/4096) times, not once per vertex (it made four per vertex
+// when each phase built its programs one by one).
+func TestPreprocessFootprint(t *testing.T) {
+	const maxMallocsPerVertex = 0.05
+	topo, err := NewTopology(graph.Grid(128, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs, bytes := allocsPerVertex(topo.N(), func() {
+		if _, _, err := PreprocessOn(topo); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.3f mallocs, %.1f bytes per vertex", mallocs, bytes)
+	if mallocs > maxMallocsPerVertex {
+		t.Errorf("%.3f mallocs per vertex, want <= %v", mallocs, maxMallocsPerVertex)
+	}
+}
+
+// TestChildSlabIsolation checks that carving the BFS child lists from the
+// engine's int slab never shares memory between lists: a re-rooted
+// Session leaves the lists of its previous run intact (they may have
+// escaped into a PreInfo), an append past a carved list reallocates
+// instead of writing into the next vertex's list, and RunReference, whose
+// Envs carry no slab, allocates exact lists rather than a chunk per
+// vertex.
+func TestChildSlabIsolation(t *testing.T) {
+	topo, err := NewTopology(graph.Grid(128, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := topo.N()
+	children := func(node func(v int) Node) [][]int {
+		out := make([][]int, n)
+		for v := range out {
+			out[v] = node(v).(*BFSNode).Children
+		}
+		return out
+	}
+
+	t.Run("session-reroot", func(t *testing.T) {
+		for _, k := range []int{1, 2} {
+			sess := NewSession(topo, func(int) Node { return NewBFSNode(0) }, WithWorkers(k))
+			if err := sess.Run(8*n + 16); err != nil {
+				t.Fatal(err)
+			}
+			kept := children(sess.Node)
+			want := copyRows(kept)
+			if err := sess.Reset(BFSRoot{Root: 5}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Run(8*n + 16); err != nil {
+				t.Fatal(err)
+			}
+			sess.Close()
+			if !reflect.DeepEqual(kept, want) {
+				t.Errorf("w%d: the re-rooted run changed the child lists of the first run", k)
+			}
+			if reflect.DeepEqual(children(sess.Node), want) {
+				t.Errorf("w%d: the re-rooted run produced the first run's tree", k)
+			}
+		}
+	})
+
+	t.Run("append-reallocates", func(t *testing.T) {
+		nw := NewNetworkOn(topo, func(int) Node { return NewBFSNode(0) }, WithWorkers(2))
+		if err := nw.Run(8*n + 16); err != nil {
+			t.Fatal(err)
+		}
+		rows := children(nw.Node)
+		want := copyRows(rows)
+		for v, r := range rows {
+			if len(r) != cap(r) {
+				t.Fatalf("vertex %d: child list len %d, cap %d; want len == cap", v, len(r), cap(r))
+			}
+			if len(r) > 0 {
+				if grown := append(r, -1); &grown[0] == &r[0] {
+					t.Fatalf("vertex %d: append past the carved list did not reallocate", v)
+				}
+			}
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Error("appending to one child list changed another")
+		}
+	})
+
+	t.Run("reference", func(t *testing.T) {
+		// RunReference keeps one Env per vertex on top of Run's footprint;
+		// a slab chunk per vertex would cost 32 KB each.
+		bound := maxBytesPerVertex + float64(unsafe.Sizeof(Env{}))
+		_, bytes := bfsFootprint(t, topo, (*Network).RunReference, 1)
+		t.Logf("RunReference: %.1f bytes per vertex", bytes)
+		if bytes > bound {
+			t.Errorf("RunReference: %.1f bytes per vertex, want <= %.0f (Run's bound plus one Env)", bytes, bound)
 		}
 	})
 }
@@ -249,7 +368,7 @@ func TestEnvPerCallContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := topo.N()
-	if lo, hi := newFrontierState(n, 3, nil, nil).shardWords(2); lo >= hi {
+	if lo, hi := newFrontierState(n, 3, nil).shardWords(2); lo >= hi {
 		t.Fatal("the grid no longer spans three frontier shards")
 	}
 	for _, m := range footprintMatrix {

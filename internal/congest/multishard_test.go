@@ -43,7 +43,7 @@ func TestFrontierMultiShardEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 3} {
-		fr := newFrontierState(n, k, nil, nil)
+		fr := newFrontierState(n, k, nil)
 		if lo, hi := fr.shardWords(k - 1); lo >= hi {
 			t.Fatalf("w%d: last shard is empty; the graph no longer spans %d shards", k, k)
 		}

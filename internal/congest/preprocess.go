@@ -33,7 +33,10 @@ func Preprocess(g *graph.Graph, opts ...Option) (*PreInfo, Metrics, error) {
 }
 
 // PreprocessOn is Preprocess on an already-built topology: none of the
-// three phases re-validates or re-scans the graph.
+// three phases re-validates or re-scans the graph. Each phase places its
+// programs in one slab, and the BFS child lists come from the engine's
+// int slab, so the preprocessing allocates O(1) times per phase, not per
+// vertex.
 func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 	var total Metrics
 	n := topo.N()
@@ -42,23 +45,28 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 	}
 
 	// Phase 1: leader election by max-id flooding.
-	nw := NewNetworkOn(topo, func(v int) Node { return NewLeaderElectNode() }, opts...)
+	elect := make([]LeaderElectNode, n)
+	nw := NewNetworkOn(topo, func(v int) Node {
+		elect[v] = *NewLeaderElectNode()
+		return &elect[v]
+	}, opts...)
 	if err := nw.Run(4*n + 16); err != nil {
 		return nil, total, fmt.Errorf("leader election: %w", err)
 	}
 	total.Add(nw.Metrics())
-	leader := -1
-	for v := 0; v < n; v++ {
-		l := nw.Node(v).(*LeaderElectNode).Leader
-		if leader == -1 {
-			leader = l
-		} else if l != leader {
+	leader := elect[0].Leader
+	for v := range elect {
+		if elect[v].Leader != leader {
 			return nil, total, fmt.Errorf("congest: leader election disagreement at node %d", v)
 		}
 	}
 
 	// Phase 2: BFS(leader) with child discovery and ecc convergecast.
-	nw = NewNetworkOn(topo, func(v int) Node { return NewBFSNode(leader) }, opts...)
+	bfs := make([]BFSNode, n)
+	nw = NewNetworkOn(topo, func(v int) Node {
+		bfs[v] = *NewBFSNode(leader)
+		return &bfs[v]
+	}, opts...)
 	if err := nw.Run(8*n + 16); err != nil {
 		return nil, total, fmt.Errorf("bfs construction: %w", err)
 	}
@@ -68,28 +76,27 @@ func PreprocessOn(topo *Topology, opts ...Option) (*PreInfo, Metrics, error) {
 		Parent:   make([]int, n),
 		Depth:    make([]int, n),
 		Children: make([][]int, n),
+		D:        bfs[leader].Ecc,
 	}
-	for v := 0; v < n; v++ {
-		b := nw.Node(v).(*BFSNode)
-		info.Parent[v] = b.Parent
-		info.Depth[v] = b.Dist
-		info.Children[v] = b.Children
-		if v == leader {
-			info.D = b.Ecc
-		}
+	for v := range bfs {
+		info.Parent[v] = bfs[v].Parent
+		info.Depth[v] = bfs[v].Dist
+		info.Children[v] = bfs[v].Children
 	}
 
 	// Phase 3: broadcast d = ecc(leader) down the tree so every node can
 	// schedule the fixed-length phases that follow.
+	bcast, kids := make([]BroadcastNode, n), copyRows(info.Children)
 	nw = NewNetworkOn(topo, func(v int) Node {
-		return NewBroadcastNode(info.Parent[v], info.Children[v], info.D)
+		bcast[v] = broadcastNode(info.Parent[v], kids[v], info.D)
+		return &bcast[v]
 	}, opts...)
 	if err := nw.Run(4*n + 16); err != nil {
 		return nil, total, fmt.Errorf("broadcast d: %w", err)
 	}
 	total.Add(nw.Metrics())
-	for v := 0; v < n; v++ {
-		if got := nw.Node(v).(*BroadcastNode).Value; got != info.D {
+	for v := range bcast {
+		if got := bcast[v].Value; got != info.D {
 			return nil, total, fmt.Errorf("congest: node %d received d=%d, want %d", v, got, info.D)
 		}
 	}

@@ -187,14 +187,11 @@ type frontierState struct {
 	preMax     int  // max initial StateBits over vertices outside frontier(1)
 	preSampled bool // preMax computed (at the first frontier build)
 
-	scheds []Scheduled // scheds[v] non-nil iff nodes[v] implements Scheduled
-	sizers []StateSizer
-
 	addDelta  []int // per-worker count of new nxt members this round
 	doneDelta []int // per-worker notDone deltas
 }
 
-func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
+func newFrontierState(n, k int, alwaysOn []int32) *frontierState {
 	fr := &frontierState{
 		k:         k,
 		wps:       wordsPerShard((n+63)>>6, k),
@@ -206,23 +203,11 @@ func newFrontierState(n, k int, alwaysOn []int32, nodes []Node) *frontierState {
 		open:      make([]wakeBucket, k),
 		wakeVs:    make([][]int32, k),
 		done:      make([]bool, n),
-		scheds:    make([]Scheduled, n),
-		sizers:    make([]StateSizer, n),
 		addDelta:  make([]int, k),
 		doneDelta: make([]int, k),
 	}
 	for s := range fr.open {
 		fr.open[s].round = noBucket
-	}
-	// The interface assertions are hoisted here, once per engine, off the
-	// per-round and per-execution hot paths.
-	for v, nd := range nodes {
-		if sc, ok := nd.(Scheduled); ok {
-			fr.scheds[v] = sc
-		}
-		if s, ok := nd.(StateSizer); ok {
-			fr.sizers[v] = s
-		}
 	}
 	return fr
 }
@@ -430,14 +415,16 @@ func (fr *frontierState) build(round int) {
 // exactly their initial states; folding this maximum (at the first round
 // barrier, like RunReference's first samples) makes Metrics.MaxStateBits
 // identical to RunReference's.
-func (fr *frontierState) samplePre() {
+func (fr *frontierState) samplePre(nodes []Node) {
 	max := 0
-	for v, s := range fr.sizers {
-		if s == nil || fr.cur.has(int32(v)) {
+	for v, nd := range nodes {
+		if fr.cur.has(int32(v)) {
 			continue
 		}
-		if b := s.StateBits(); b > max {
-			max = b
+		if s, ok := nd.(StateSizer); ok {
+			if b := s.StateBits(); b > max {
+				max = b
+			}
 		}
 	}
 	fr.preMax = max
@@ -540,7 +527,7 @@ func (e *engine) recvShard(w int) {
 				env := e.envAt(w, v)
 				nd := nw.nodes[v]
 				nd.Receive(env, inbox)
-				if s := fr.sizers[v]; s != nil {
+				if s, ok := nd.(StateSizer); ok {
 					if b := s.StateBits(); b > maxState {
 						maxState = b
 					}
@@ -553,7 +540,7 @@ func (e *engine) recvShard(w int) {
 						delta++
 					}
 				}
-				if sc := fr.scheds[v]; sc != nil {
+				if sc, ok := nd.(Scheduled); ok {
 					if fr.register(w, int32(v), sc.NextWake(env, e.round), e.round) {
 						added++
 					}
@@ -637,7 +624,7 @@ func (e *engine) execute(maxRounds int) error {
 		if !d {
 			fr.notDone++
 		}
-		if sc := fr.scheds[v]; sc != nil {
+		if sc, ok := nd.(Scheduled); ok {
 			if fr.register(fr.shardOf(int32(v)), int32(v), sc.NextWake(e.envAt(0, v), 0), 0) {
 				fr.nxtCount++
 			}
@@ -651,7 +638,7 @@ func (e *engine) execute(maxRounds int) error {
 		}
 		fr.build(round)
 		if !fr.preSampled {
-			fr.samplePre()
+			fr.samplePre(nw.nodes)
 		}
 		if fr.curCount == 0 {
 			// Idle until the next self-wake: RunReference would execute

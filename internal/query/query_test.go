@@ -234,8 +234,9 @@ func checkCase(t *testing.T, vals []int, threshold int, run caseRun) {
 
 // TestQueryProperties cross-checks Search/Minimum/Maximum/Count against
 // brute force on every suite graph and asserts the full Results are
-// bit-identical across workers {1,2,8} x sequential/batched x
-// Dense/Frontier, under strict wire accounting.
+// bit-identical across the queryConfigs rows (engine workers {1,2,8},
+// sequential or four parallel evaluation contexts), under strict wire
+// accounting.
 func TestQueryProperties(t *testing.T) {
 	configs := queryConfigs()
 	for _, pc := range propertySuite(t) {
